@@ -19,6 +19,7 @@ from .budget import TIMEOUT, default_node_budget
 from .errors import BadParams, RadioLabError
 from .graphcore import (
     Graph,
+    all_pairs_distances,
     antipodal,
     are_isomorphic,
     bipartition,
@@ -148,21 +149,22 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _quad_cage_profile(g: Graph) -> bool:
+def _quad_cage_profile(g: Graph, dist) -> bool:
     parts = bipartition(g)
     if parts is None or regularity(g) is None:
         return False
     if 2 * sum(parts) != g.n:
         return False
     try:
-        return diameter(g) == 4 and girth(g) == 8
+        return diameter(g, dist) == 4 and girth(g) == 8
     except RadioLabError:
         return False
 
 
 def cmd_analyze(args) -> int:
     g = families.read_edge_list(args.graph)
-    verdict = analyze(g, args.budget)
+    dist = all_pairs_distances(g)
+    verdict = analyze(g, args.budget, dist)
     status, rule = verdict.status, verdict.rule
     rn_lower, rn_upper = verdict.rn_lower, verdict.rn_upper
     labeling = verdict.certificate if isinstance(verdict.certificate, RadioLabeling) else None
@@ -175,7 +177,7 @@ def cmd_analyze(args) -> int:
         if status == "Unknown":
             status = RADIO_GRACEFUL if rn == g.n else NOT_RADIO_GRACEFUL
             rule = "exact-oracle"
-    elif status == NOT_RADIO_GRACEFUL and _quad_cage_profile(g):
+    elif status == NOT_RADIO_GRACEFUL and _quad_cage_profile(g, dist):
         # girth-8 cage inputs get the minimum-span gluing labeling, closing
         # the radio number exactly
         glued = label_quadrangle_cage(g, args.budget)
@@ -185,7 +187,7 @@ def cmd_analyze(args) -> int:
     payload = verdict.to_json_dict()
     payload.update({
         "n": g.n,
-        "diameter": diameter(g),
+        "diameter": diameter(g, dist),
         "status": status,
         "rule": rule,
         "rn_lower": rn_lower,
@@ -235,13 +237,14 @@ def _transport_labels(target: Graph, g: Graph, labeling: RadioLabeling, budget):
 
 def cmd_label(args) -> int:
     g = families.read_edge_list(args.graph)
+    dist = all_pairs_distances(g)
     method = args.method
     labeling = None
     if method == "auto":
-        verdict = analyze(g, args.budget)
+        verdict = analyze(g, args.budget, dist)
         if verdict.status == RADIO_GRACEFUL:
             labeling = verdict.certificate
-        elif _quad_cage_profile(g):
+        elif _quad_cage_profile(g, dist):
             labeling = label_quadrangle_cage(g, args.budget)
         elif g.n <= 12:
             _, labeling = radio_number_exact(g)
@@ -250,14 +253,14 @@ def cmd_label(args) -> int:
                   file=sys.stderr)
             return EXIT_NEGATIVE
     elif method == "antipodal-path":
-        cert = find_hamiltonian_path(antipodal(g), args.budget)
+        cert = find_hamiltonian_path(antipodal(g, dist), args.budget)
         if cert is TIMEOUT:
             labeling = TIMEOUT
         elif cert is None:
             print("antipodal graph has no Hamiltonian path", file=sys.stderr)
             return EXIT_NEGATIVE
         else:
-            labeling = label_from_antipodal_path(g, cert)
+            labeling = label_from_antipodal_path(g, cert, dist)
     elif method == "quad-glue":
         labeling = label_quadrangle_cage(g, args.budget)
     elif method == "hex-glue":
@@ -279,7 +282,7 @@ def cmd_label(args) -> int:
         print("search budget exhausted", file=sys.stderr)
         return EXIT_TIMEOUT
     assert isinstance(labeling, RadioLabeling)
-    bad = verify(g, labeling)
+    bad = verify(g, labeling, dist)
     if bad:
         print(f"constructed labeling failed verification ({len(bad)} violations)",
               file=sys.stderr)
@@ -296,11 +299,13 @@ def cmd_verify(args) -> int:
     if n != g.n:
         print(f"labeling is for {n} vertices, graph has {g.n}", file=sys.stderr)
         return EXIT_USAGE
-    if diam != diameter(g):
-        print(f"labeling file records diameter {diam}, graph has {diameter(g)}",
+    dist = all_pairs_distances(g)
+    graph_diam = diameter(g, dist)
+    if diam != graph_diam:
+        print(f"labeling file records diameter {diam}, graph has {graph_diam}",
               file=sys.stderr)
         return EXIT_USAGE
-    violations = verify(g, labeling)
+    violations = verify(g, labeling, dist)
     if args.json:
         sys.stdout.write(_dump_json({
             "ok": not violations,

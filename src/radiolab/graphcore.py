@@ -9,11 +9,10 @@ distance queries because antipodal-component analysis needs them.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .budget import TIMEOUT, SearchBudget, as_budget
 from .errors import Disconnected
@@ -144,18 +143,56 @@ class Graph:
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    """BFS-exact all-pairs distances; UNREACHABLE marks cross-component pairs."""
+    """BFS-exact all-pairs distances; UNREACHABLE marks cross-component pairs.
+
+    The breadth-first searches from all sources advance together, one
+    level per step.  Row s of ``balls`` is the ball of radius k around s,
+    bit-packed into uint64 words (vertex v is bit v % 64 of word v // 64).
+    As the graph is undirected, the ball of radius k+1 around s is the
+    union of the radius-k balls of s and of its neighbours: one
+    ``bitwise_or.reduceat`` over the CSR neighbour lists.  Isolated
+    vertices are left out of it, because ``reduceat`` returns the element
+    at the start of an empty segment instead of nothing.  The bits new at
+    level k are written as distance k.
+    """
     n = g.n
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int32)
-    rows, cols = [], []
-    for u, v in g.edges():
-        rows.extend((u, v))
-        cols.extend((v, u))
-    sparse = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    dist = shortest_path(sparse, method="D", directed=False, unweighted=True)
-    out = np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int32)
-    return out
+    dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
+    np.fill_diagonal(dist, 0)
+    degree = np.fromiter(map(len, g._adj), dtype=np.intp, count=n)
+    has_neighbours = degree > 0
+    if not has_neighbours.any():
+        return dist
+    neighbours = np.fromiter(
+        chain.from_iterable(g._adj), dtype=np.intp, count=2 * g.num_edges
+    )
+    starts = (np.cumsum(degree) - degree)[has_neighbours]
+    vertices = np.arange(n)
+    balls = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    balls[vertices, vertices >> 6] = np.left_shift(
+        np.uint64(1), (vertices & 63).astype(np.uint64)
+    )
+    level = 0
+    while True:
+        level += 1
+        grown = balls.copy()
+        grown[has_neighbours] |= np.bitwise_or.reduceat(
+            balls[neighbours], starts, axis=0
+        )
+        new = grown & ~balls
+        rows, words = np.nonzero(new)
+        if rows.size == 0:
+            return dist
+        bits = new[rows, words]
+        first_column = words * 64
+        while bits.size:
+            lowest = bits & -bits
+            # a power of two is exact in float64, so frexp gives its index
+            columns = first_column + np.frexp(lowest.astype(np.float64))[1] - 1
+            dist[rows, columns] = level
+            bits ^= lowest
+            left = bits != 0
+            rows, first_column, bits = rows[left], first_column[left], bits[left]
+        balls = grown
 
 
 def diameter(g: Graph, dist: Optional[np.ndarray] = None) -> int:
@@ -224,10 +261,8 @@ def antipodal(g: Graph, dist: Optional[np.ndarray] = None) -> Graph:
     if dist is None:
         dist = all_pairs_distances(g)
     diam = diameter(g, dist)
-    edges = [
-        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if dist[u, v] == diam
-    ]
-    return Graph(g.n, edges)
+    us, vs = np.nonzero(np.triu(dist == diam, 1))
+    return Graph(g.n, zip(us.tolist(), vs.tolist()))
 
 
 def complement(g: Graph) -> Graph:

@@ -42,6 +42,7 @@ from .graphcore import (
     complement,
     components,
     diameter,
+    girth,
     regularity,
 )
 from .hamsearch import (
@@ -301,8 +302,6 @@ def _label_cage(
     point_cycle,
     line_cycle,
 ):
-    from .graphcore import girth as _girth
-
     side0, side1 = _cage_parts(g)
     if len(side0) != len(side1):
         raise PreconditionFailed("parts have different sizes")
@@ -313,8 +312,9 @@ def _label_cage(
         raise Disconnected("graph is disconnected")
     if int(dist.max()) != want_diam:
         raise PreconditionFailed(f"diameter is {int(dist.max())}, need {want_diam}")
-    if _girth(g) != want_girth:
-        raise PreconditionFailed(f"girth is {_girth(g)}, need {want_girth}")
+    g_girth = girth(g)
+    if g_girth != want_girth:
+        raise PreconditionFailed(f"girth is {g_girth}, need {want_girth}")
     a = antipodal(g, dist)
     comps = components(a)
     if len(comps) != 2 or sorted(map(tuple, comps)) != sorted(
@@ -590,7 +590,11 @@ def radio_number_exact(
 # analyzer
 
 
-def analyze(g: Graph, deadline: int | SearchBudget | None = None) -> AnalysisVerdict:
+def analyze(
+    g: Graph,
+    deadline: int | SearchBudget | None = None,
+    dist: Optional[np.ndarray] = None,
+) -> AnalysisVerdict:
     """Theorem-driven gracefulness decision with a certified verdict.
 
     Rules fire in order: trivial diameter; bipartite even diameter;
@@ -602,7 +606,8 @@ def analyze(g: Graph, deadline: int | SearchBudget | None = None) -> AnalysisVer
     n = g.n
     if n == 0:
         raise Disconnected("empty graph")
-    dist = all_pairs_distances(g)
+    if dist is None:
+        dist = all_pairs_distances(g)
     if (dist == UNREACHABLE).any():
         raise Disconnected("graph is disconnected")
     diam = int(dist.max())

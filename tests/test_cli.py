@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +288,27 @@ def test_edge_list_output_deterministic(tmp_path, capsys):
     run(capsys, "construct", "mms", "5", "-o", f1)
     run(capsys, "construct", "mms", "5", "-o", f2)
     assert open(f1).read() == open(f2).read()
+
+
+def test_scipy_is_never_imported():
+    # distances come from numpy alone; importing scipy.sparse would cost
+    # most of a short CLI call's start-up
+    src = str(Path(rl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import radiolab, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert probe.stdout.strip() == "[]"
+    # -X importtime logs every module the command imports to stderr
+    cli = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "radiolab", "construct", "petersen"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert cli.stdout.startswith("# family: petersen")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in cli.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "radiolab.graphcore" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]

@@ -54,12 +54,46 @@ def test_distances_unreachable_sentinel():
     assert d[0, 2] == UNREACHABLE and d[1, 3] == UNREACHABLE
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_distances_match_floyd_warshall(seed):
+def _seeded_graph(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 64)
-    g = random_graph(n, rng.uniform(0.05, 0.5), rng)
+    return random_graph(n, rng.uniform(0.05, 0.5), rng)
+
+
+def _sparse_graph(n):
+    # about two neighbours per vertex: several components, several levels
+    return random_graph(n, 2 / max(n, 1), random.Random(n))
+
+
+def _with_isolated_vertices():
+    # every fifth vertex of a sparse random graph on 90 vertices is isolated
+    rng = random.Random(90)
+    edges = random_graph(90, 0.06, rng).edges()
+    return Graph(90, [(u, v) for u, v in edges if u % 5 and v % 5])
+
+
+# rows of the distance kernel are bit-packed into 64-vertex words: the
+# inputs below cross word boundaries and reach diameters above 64
+DISTANCE_INPUTS = (
+    [pytest.param(lambda s=s: _seeded_graph(s), id=str(s)) for s in range(12)]
+    + [
+        pytest.param(lambda n=n: _sparse_graph(n), id=f"n{n}")
+        for n in (0, 1, 63, 64, 65, 128, 129)
+    ]
+    + [
+        pytest.param(_with_isolated_vertices, id="isolated"),
+        pytest.param(lambda: rl.path(70), id="path70"),
+        pytest.param(lambda: rl.cycle(140), id="cycle140"),
+    ]
+)
+
+
+@pytest.mark.parametrize("make_graph", DISTANCE_INPUTS)
+def test_distances_match_floyd_warshall(make_graph):
+    g = make_graph()
+    n = g.n
     ours = all_pairs_distances(g)
+    assert ours.dtype == np.int32 and ours.shape == (n, n)
     ref = floyd_warshall(g)
     for i in range(n):
         for j in range(n):
