@@ -98,6 +98,8 @@ from .radio import (
     labeling_from_json,
     labeling_to_json,
     radio_number_exact,
+    require_antipodal_path_diameter,
+    settle,
     singer_label_erq,
     singer_label_erq_complement,
     verify,

@@ -38,6 +38,10 @@ class _Timeout:
 TIMEOUT = _Timeout()
 
 
+class BudgetExhausted(Exception):
+    """Unwinds a search whose budget ran out; its entry point returns TIMEOUT."""
+
+
 class SearchBudget:
     """Mutable countdown of search-tree nodes.
 

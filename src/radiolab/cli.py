@@ -22,25 +22,21 @@ from .graphcore import (
     all_pairs_distances,
     antipodal,
     are_isomorphic,
-    bipartition,
     complement,
     components,
     diameter,
-    girth,
-    regularity,
 )
 from .hamsearch import PathCertificate, find_hamiltonian_path, verify_certificate
 from .radio import (
-    NOT_RADIO_GRACEFUL,
-    RADIO_GRACEFUL,
     RadioLabeling,
-    analyze,
     label_from_antipodal_path,
     label_hexagon_cage,
     label_quadrangle_cage,
     labeling_from_json,
     labeling_to_json,
     radio_number_exact,
+    require_antipodal_path_diameter,
+    settle,
     singer_label_erq,
     singer_label_erq_complement,
     verify,
@@ -149,64 +145,28 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _quad_cage_profile(g: Graph, dist) -> bool:
-    parts = bipartition(g)
-    if parts is None or regularity(g) is None:
-        return False
-    if 2 * sum(parts) != g.n:
-        return False
-    try:
-        return diameter(g, dist) == 4 and girth(g) == 8
-    except RadioLabError:
-        return False
-
-
 def cmd_analyze(args) -> int:
     g = families.read_edge_list(args.graph)
     dist = all_pairs_distances(g)
-    verdict = analyze(g, args.budget, dist)
-    status, rule = verdict.status, verdict.rule
-    rn_lower, rn_upper = verdict.rn_lower, verdict.rn_upper
-    labeling = verdict.certificate if isinstance(verdict.certificate, RadioLabeling) else None
-    if g.n <= 12:
-        # small graphs: the exact oracle closes the radio number outright
-        rn, witness = radio_number_exact(g)
-        rn_lower = rn_upper = rn
-        if labeling is None:
-            labeling = witness
-        if status == "Unknown":
-            status = RADIO_GRACEFUL if rn == g.n else NOT_RADIO_GRACEFUL
-            rule = "exact-oracle"
-    elif status == NOT_RADIO_GRACEFUL and _quad_cage_profile(g, dist):
-        # girth-8 cage inputs get the minimum-span gluing labeling, closing
-        # the radio number exactly
-        glued = label_quadrangle_cage(g, args.budget)
-        if isinstance(glued, RadioLabeling):
-            labeling = glued
-            rn_upper = glued.span if rn_upper is None else min(rn_upper, glued.span)
+    verdict, labeling = settle(g, args.budget, dist)
+    if labeling is TIMEOUT:  # the cage search ran out; the verdict stands
+        labeling = None
     payload = verdict.to_json_dict()
-    payload.update({
-        "n": g.n,
-        "diameter": diameter(g, dist),
-        "status": status,
-        "rule": rule,
-        "rn_lower": rn_lower,
-        "rn_upper": rn_upper,
-    })
+    payload.update({"n": g.n, "diameter": diameter(g, dist)})
     if labeling is not None:
         payload["labeling"] = list(labeling.labels)
         payload["labeling_span"] = labeling.span
     if args.json:
         sys.stdout.write(_dump_json(payload))
     else:
-        hi = "?" if rn_upper is None else str(rn_upper)
-        print(f"{status}; rule: {rule}; rn in [{rn_lower}, {hi}]")
+        hi = "?" if verdict.rn_upper is None else str(verdict.rn_upper)
+        print(f"{verdict.status}; rule: {verdict.rule}; rn in [{verdict.rn_lower}, {hi}]")
         if labeling is not None:
             print(f"labeling span: {labeling.span}")
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(_dump_json(payload))
-    return EXIT_OK if status != "Unknown" else EXIT_TIMEOUT
+    return EXIT_OK if verdict.status != "Unknown" else EXIT_TIMEOUT
 
 
 def _infer_singer_q(n: int) -> int:
@@ -241,18 +201,13 @@ def cmd_label(args) -> int:
     method = args.method
     labeling = None
     if method == "auto":
-        verdict = analyze(g, args.budget, dist)
-        if verdict.status == RADIO_GRACEFUL:
-            labeling = verdict.certificate
-        elif _quad_cage_profile(g, dist):
-            labeling = label_quadrangle_cage(g, args.budget)
-        elif g.n <= 12:
-            _, labeling = radio_number_exact(g)
-        else:
+        verdict, labeling = settle(g, args.budget, dist)
+        if labeling is None:
             print(f"no labeling method applies ({verdict.status}; {verdict.rule})",
                   file=sys.stderr)
             return EXIT_NEGATIVE
     elif method == "antipodal-path":
+        require_antipodal_path_diameter(g, dist)
         cert = find_hamiltonian_path(antipodal(g, dist), args.budget)
         if cert is TIMEOUT:
             labeling = TIMEOUT
@@ -262,9 +217,9 @@ def cmd_label(args) -> int:
         else:
             labeling = label_from_antipodal_path(g, cert, dist)
     elif method == "quad-glue":
-        labeling = label_quadrangle_cage(g, args.budget)
+        labeling = label_quadrangle_cage(g, args.budget, dist=dist)
     elif method == "hex-glue":
-        labeling = label_hexagon_cage(g, args.budget)
+        labeling = label_hexagon_cage(g, args.budget, dist=dist)
     elif method in ("singer", "singer-complement"):
         q = _infer_singer_q(g.n)
         if method == "singer":
@@ -287,7 +242,7 @@ def cmd_label(args) -> int:
         print(f"constructed labeling failed verification ({len(bad)} violations)",
               file=sys.stderr)
         return EXIT_NEGATIVE
-    _write_or_print(labeling_to_json(g, labeling), args.out)
+    _write_or_print(labeling_to_json(g, labeling, dist), args.out)
     if args.out:
         print(f"span {labeling.span} labeling written to {args.out}")
     return EXIT_OK
@@ -322,14 +277,16 @@ def cmd_verify(args) -> int:
 
 def cmd_radio_number(args) -> int:
     g = families.read_edge_list(args.graph)
-    rn, witness = radio_number_exact(g, vertex_limit=args.limit)
+    # the oracle refuses larger graphs before it reads any distance
+    dist = all_pairs_distances(g) if g.n <= args.limit else None
+    rn, witness = radio_number_exact(g, args.limit, dist)
     if args.json:
         sys.stdout.write(_dump_json({"rn": rn, "labels": list(witness.labels)}))
     else:
         print(rn)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(labeling_to_json(g, witness))
+            fh.write(labeling_to_json(g, witness, dist))
     return EXIT_OK
 
 

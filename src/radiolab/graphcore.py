@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .budget import TIMEOUT, SearchBudget, as_budget
+from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
 from .errors import Disconnected
 
 __all__ = [
@@ -97,12 +97,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def adjacency_matrix(self) -> np.ndarray:
-        mat = np.zeros((self.n, self.n), dtype=bool)
-        for u, v in self.edges():
-            mat[u, v] = mat[v, u] = True
-        return mat
-
     def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph on ``vertices``; new vertex i is old vertices[i]."""
         index = {v: i for i, v in enumerate(vertices)}
@@ -118,9 +112,6 @@ class Graph:
         if self.parts is not None:
             parts = tuple(self.parts[v] for v in vertices)
         return Graph(len(vertices), edges, parts=parts)
-
-    def with_parts(self, parts: Sequence[int]) -> "Graph":
-        return Graph(self.n, list(self.edges()), parts=parts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -377,12 +368,12 @@ def are_isomorphic(
     mapping: list[int] = [-1] * n
     used = [False] * n
 
-    def extend(pos: int):
+    def extend(pos: int) -> bool:
         if pos == n:
             return True
         x = order[pos]
         if not budget.charge():
-            return TIMEOUT
+            raise BudgetExhausted
         for y in by_color[cg[x]]:
             if used[y]:
                 continue
@@ -403,16 +394,13 @@ def are_isomorphic(
                 continue
             mapping[x] = y
             used[y] = True
-            result = extend(pos + 1)
-            if result is True or result is TIMEOUT:
-                return result
+            if extend(pos + 1):
+                return True
             mapping[x] = -1
             used[y] = False
         return False
 
-    result = extend(0)
-    if result is TIMEOUT:
+    try:
+        return tuple(mapping) if extend(0) else None
+    except BudgetExhausted:
         return TIMEOUT
-    if result is True:
-        return tuple(mapping)
-    return None

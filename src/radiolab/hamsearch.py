@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import TIMEOUT, SearchBudget, as_budget
+from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
 from .errors import BadPermutation, PreconditionFailed
 from .graphcore import Graph, bipartition, components, regularity
 
@@ -36,10 +36,6 @@ class PathCertificate:
     ordering: tuple[int, ...]
     kind: str = "path"
     power: int = 1
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def verify_certificate(g: Graph, cert: PathCertificate) -> bool:
@@ -174,7 +170,7 @@ def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
 
     def dfs(v: int) -> bool:
         if not budget.charge():
-            raise _BudgetExhausted
+            raise BudgetExhausted
         sequence.append(v)
         on_path[v] = True
         if len(sequence) == n:
@@ -191,7 +187,7 @@ def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
         for s in starts:
             if dfs(s):
                 return PathCertificate(tuple(sequence), "path")
-    except _BudgetExhausted:
+    except BudgetExhausted:
         return TIMEOUT
     return None
 
@@ -281,7 +277,7 @@ def find_cycle_power(
 
     def dfs() -> bool:
         if not budget.charge():
-            raise _BudgetExhausted
+            raise BudgetExhausted
         if len(placed) == n:
             return wrap_ok()
         recent = placed[-min(power, len(placed)) :]
@@ -302,7 +298,7 @@ def find_cycle_power(
     try:
         if dfs():
             return PathCertificate(tuple(placed), "cycle_power", power)
-    except _BudgetExhausted:
+    except BudgetExhausted:
         return TIMEOUT
     return None
 

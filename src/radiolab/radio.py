@@ -15,7 +15,7 @@ machine-checkable obstruction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from typing import Optional, Sequence
 
@@ -68,6 +68,8 @@ __all__ = [
     "singer_label_erq_complement",
     "radio_number_exact",
     "analyze",
+    "settle",
+    "require_antipodal_path_diameter",
     "labeling_to_json",
     "labeling_from_json",
 ]
@@ -177,22 +179,31 @@ def verify(
 # constructive labelings
 
 
-def label_from_antipodal_path(
-    g: Graph, cert: PathCertificate, dist: Optional[np.ndarray] = None
-) -> RadioLabeling:
-    """Graceful labeling from a Hamiltonian path of the antipodal graph.
-
-    Sound exactly when diam(g) <= 2, or diam(g) = 3 with g bipartite: the
-    vertex at path position i receives label i+1.
-    """
-    if dist is None:
-        dist = all_pairs_distances(g)
+def require_antipodal_path_diameter(
+    g: Graph, dist: Optional[np.ndarray] = None
+) -> None:
+    """Raise UnsupportedDiameter unless diam(g) <= 2, or diam(g) = 3 with g
+    bipartite: the only cases where a Hamiltonian path of the antipodal
+    graph yields a graceful labeling."""
     diam = diameter(g, dist)
     if not (diam <= 2 or (diam == 3 and bipartition(g) is not None)):
         raise UnsupportedDiameter(
             f"antipodal-path labeling proven only for diameter <= 2 or bipartite "
             f"diameter 3; got diameter {diam}"
         )
+
+
+def label_from_antipodal_path(
+    g: Graph, cert: PathCertificate, dist: Optional[np.ndarray] = None
+) -> RadioLabeling:
+    """Graceful labeling from a Hamiltonian path of the antipodal graph.
+
+    Sound exactly when :func:`require_antipodal_path_diameter` holds: the
+    vertex at path position i receives label i+1.
+    """
+    if dist is None:
+        dist = all_pairs_distances(g)
+    require_antipodal_path_diameter(g, dist)
     if cert.kind != "path":
         raise BadCertificate(f"need a path certificate, got {cert.kind!r}")
     a = antipodal(g, dist)
@@ -301,13 +312,15 @@ def _label_cage(
     want_girth: int,
     point_cycle,
     line_cycle,
+    dist: Optional[np.ndarray],
 ):
     side0, side1 = _cage_parts(g)
     if len(side0) != len(side1):
         raise PreconditionFailed("parts have different sizes")
     if regularity(g) is None:
         raise PreconditionFailed("graph is not regular")
-    dist = all_pairs_distances(g)
+    if dist is None:
+        dist = all_pairs_distances(g)
     if (dist == UNREACHABLE).any():
         raise Disconnected("graph is disconnected")
     if int(dist.max()) != want_diam:
@@ -338,6 +351,7 @@ def label_quadrangle_cage(
     deadline: int | SearchBudget | None = None,
     point_cycle: Optional[Sequence[int]] = None,
     line_cycle: Optional[Sequence[int]] = None,
+    dist: Optional[np.ndarray] = None,
 ):
     """Span-(2m+1) radio labeling of a (q+1,8)-cage (m = vertices per part).
 
@@ -346,7 +360,7 @@ def label_quadrangle_cage(
     valid rotation point.  Returns TIMEOUT if a component search exhausts
     the node budget.
     """
-    return _label_cage(g, deadline, 2, 4, 8, point_cycle, line_cycle)
+    return _label_cage(g, deadline, 2, 4, 8, point_cycle, line_cycle, dist)
 
 
 def label_hexagon_cage(
@@ -354,6 +368,7 @@ def label_hexagon_cage(
     deadline: int | SearchBudget | None = None,
     point_cycle: Optional[Sequence[int]] = None,
     line_cycle: Optional[Sequence[int]] = None,
+    dist: Optional[np.ndarray] = None,
 ):
     """Span-(2m+1) radio labeling of a (q+1,12)-cage, if the bounded search
     finds 4-th powers of Hamiltonian cycles in both antipodal components.
@@ -361,7 +376,7 @@ def label_hexagon_cage(
     TIMEOUT is an expected outcome at small q: the minimum-degree guarantee
     for the needed cycle powers only kicks in far above desk scale.
     """
-    return _label_cage(g, deadline, 4, 6, 12, point_cycle, line_cycle)
+    return _label_cage(g, deadline, 4, 6, 12, point_cycle, line_cycle, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +426,35 @@ def _singer_scan(q: int, want_sums_in_set: bool):
     return None, None
 
 
+def _singer_label(q: int, of_complement: bool) -> RadioLabeling:
+    """Label path position i with i along the recurrence's walk, a
+    Hamiltonian path of the antipodal graph of singer_graph(q) or of its
+    complement; a direct path search stands in if every parameter fails."""
+    from .families import singer_graph
+
+    g = singer_graph(q)
+    if of_complement:
+        g = complement(g)
+    dist = all_pairs_distances(g)
+    if of_complement and diameter(g, dist) != 2:
+        raise UnsupportedDiameter(
+            f"complement of the Singer graph for q={q} does not have diameter 2"
+        )
+    seq, _params = _singer_scan(q, want_sums_in_set=of_complement)
+    if seq is None:
+        cert = find_hamiltonian_path(complement(g))
+        if not isinstance(cert, PathCertificate):
+            raise ConstructionFailed(f"no labeling found for q={q}")
+        seq = list(cert.ordering)
+    labels = [0] * g.n
+    for pos, v in enumerate(seq):
+        labels[v] = pos + 1
+    labeling = RadioLabeling(tuple(labels))
+    if verify(g, labeling, dist):
+        raise ConstructionFailed("recurrence output failed radio verification")
+    return labeling
+
+
 def singer_label_erq(q: int) -> RadioLabeling:
     """Graceful radio labeling of singer_graph(q) (hence, via isomorphism,
     of the order-q polarity graph).
@@ -420,22 +464,7 @@ def singer_label_erq(q: int) -> RadioLabeling:
     consecutive sums avoid the difference set, then labels path position i
     with i.  Falls back to a direct path search on the complement if every
     parameter choice fails."""
-    from .families import singer_graph
-
-    g = singer_graph(q)
-    seq, _params = _singer_scan(q, want_sums_in_set=False)
-    if seq is None:
-        cert = find_hamiltonian_path(complement(g))
-        if not isinstance(cert, PathCertificate):
-            raise ConstructionFailed(f"no labeling found for q={q}")
-        seq = list(cert.ordering)
-    labels = [0] * g.n
-    for pos, v in enumerate(seq):
-        labels[v] = pos + 1
-    labeling = RadioLabeling(tuple(labels))
-    if verify(g, labeling):
-        raise ConstructionFailed("recurrence output failed radio verification")
-    return labeling
+    return _singer_label(q, of_complement=False)
 
 
 def singer_label_erq_complement(q: int) -> RadioLabeling:
@@ -445,34 +474,17 @@ def singer_label_erq_complement(q: int) -> RadioLabeling:
     inside the difference set, giving a Hamiltonian path of the Singer
     graph itself, which is the antipodal graph of its diameter-2
     complement."""
-    from .families import singer_graph
-
-    g = complement(singer_graph(q))
-    if diameter(g) != 2:
-        raise UnsupportedDiameter(
-            f"complement of the Singer graph for q={q} does not have diameter 2"
-        )
-    seq, _params = _singer_scan(q, want_sums_in_set=True)
-    if seq is None:
-        cert = find_hamiltonian_path(complement(g))
-        if not isinstance(cert, PathCertificate):
-            raise ConstructionFailed(f"no labeling found for q={q}")
-        seq = list(cert.ordering)
-    labels = [0] * g.n
-    for pos, v in enumerate(seq):
-        labels[v] = pos + 1
-    labeling = RadioLabeling(tuple(labels))
-    if verify(g, labeling):
-        raise ConstructionFailed("recurrence output failed radio verification")
-    return labeling
+    return _singer_label(q, of_complement=True)
 
 
 # ---------------------------------------------------------------------------
 # exact oracle
 
+ORACLE_VERTEX_LIMIT = 12
+
 
 def radio_number_exact(
-    g: Graph, vertex_limit: int = 12
+    g: Graph, vertex_limit: int = ORACLE_VERTEX_LIMIT, dist: Optional[np.ndarray] = None
 ) -> tuple[int, RadioLabeling]:
     """Exact rn(g) with an optimal witness, by branch and bound.
 
@@ -483,7 +495,7 @@ def radio_number_exact(
     n = g.n
     if n > vertex_limit:
         raise TooLarge(f"{n} vertices exceeds the oracle limit {vertex_limit}")
-    dist_np = all_pairs_distances(g)
+    dist_np = all_pairs_distances(g) if dist is None else dist
     diam = diameter(g, dist_np)  # raises Disconnected
     need = [[diam + 1 - int(dist_np[u, v]) for v in range(n)] for u in range(n)]
     if n == 1:
@@ -669,6 +681,42 @@ def analyze(
     return AnalysisVerdict(UNKNOWN, "no-decisive-rule", None, n, None)
 
 
+def settle(
+    g: Graph,
+    deadline: int | SearchBudget | None = None,
+    dist: Optional[np.ndarray] = None,
+):
+    """The analysis policy: :func:`analyze`'s verdict and best labeling,
+    with rn closed where the oracle or a construction can close it.
+
+    A graceful verdict is closed already.  Otherwise, up to the oracle's
+    vertex limit the exact rn closes both bounds and decides an Unknown
+    verdict (rule ``exact-oracle``); above it, a non-graceful girth-8 cage
+    gets the glued labeling as its upper bound.  The labeling is a
+    RadioLabeling, TIMEOUT (cage search budget) or None.
+    """
+    if dist is None:
+        dist = all_pairs_distances(g)
+    verdict = analyze(g, deadline, dist)
+    if verdict.status == RADIO_GRACEFUL:
+        return verdict, verdict.certificate
+    if g.n <= ORACLE_VERTEX_LIMIT:
+        rn, witness = radio_number_exact(g, dist=dist)
+        if verdict.status == UNKNOWN:
+            status = RADIO_GRACEFUL if rn == g.n else NOT_RADIO_GRACEFUL
+            verdict = replace(verdict, status=status, rule="exact-oracle")
+        return replace(verdict, rn_lower=rn, rn_upper=rn), witness
+    if verdict.status == UNKNOWN:
+        return verdict, None
+    try:
+        labeling = label_quadrangle_cage(g, deadline, dist=dist)
+    except PreconditionFailed:
+        return verdict, None
+    if isinstance(labeling, RadioLabeling):
+        verdict = replace(verdict, rn_upper=labeling.span)
+    return verdict, labeling
+
+
 def _walk_cycle(a: Graph) -> list[int]:
     """Vertex order around a connected 2-regular graph, starting at 0."""
     walk = [0]
@@ -684,11 +732,13 @@ def _walk_cycle(a: Graph) -> list[int]:
 # labeling file format
 
 
-def labeling_to_json(g: Graph, labeling: RadioLabeling) -> str:
+def labeling_to_json(
+    g: Graph, labeling: RadioLabeling, dist: Optional[np.ndarray] = None
+) -> str:
     """Serialize as the interchange labeling format (stable byte output)."""
     payload = {
         "n": g.n,
-        "diameter": diameter(g),
+        "diameter": diameter(g, dist),
         "labels": list(labeling.labels),
         "span": labeling.span,
     }

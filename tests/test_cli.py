@@ -208,6 +208,47 @@ def test_budget_env_var_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert code == 2  # flag overrides the generous env var
 
 
+@pytest.mark.parametrize("family", [["gq-incidence", "2"], ["cycle", "13"]])
+def test_antipodal_path_checks_diameter_before_searching(tmp_path, capsys,
+                                                         monkeypatch, family):
+    graph_file = str(tmp_path / "g.el")
+    run(capsys, "construct", *family, "-o", graph_file)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a graph outside the method's precondition")
+
+    monkeypatch.setattr("radiolab.cli.find_hamiltonian_path", no_search)
+    code, _, err = run(capsys, "label", graph_file, "--method", "antipodal-path")
+    assert code == 3
+    assert "antipodal-path labeling proven only for diameter <= 2" in err
+
+
+@pytest.mark.parametrize("command,stem", [
+    ("analyze", "petersen"), ("analyze", "c7"), ("analyze", "cage38"),
+    ("label", "petersen"), ("label", "heawood"), ("label", "cage38"),
+    ("radio-number", "c7"),
+])
+def test_one_distance_matrix_per_command(tmp_path, capsys, monkeypatch, command, stem):
+    family = {"petersen": ["petersen"], "c7": ["cycle", "7"], "cage38": ["cage-3-8"],
+              "heawood": ["pg-incidence", "2"]}[stem]
+    graph_file = str(tmp_path / f"{stem}.el")
+    run(capsys, "construct", *family, "-o", graph_file)
+    original = rl.graphcore.all_pairs_distances
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("radiolab") and getattr(module, "all_pairs_distances",
+                                                   None) is original:
+            monkeypatch.setattr(module, "all_pairs_distances", counted)
+    code, _, _ = run(capsys, command, graph_file, "-o", str(tmp_path / "out.json"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_detects_violations(tmp_path, capsys):
     graph_file = str(tmp_path / "c4.el")
     labels_file = tmp_path / "bad.json"

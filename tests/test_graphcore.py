@@ -226,8 +226,12 @@ def test_isomorphism_timeout_sentinel():
     # two large circulants, budget too small to even start mapping
     g = rl.cycle(40)
     h = Graph(40, [((u + 7) % 40, (v + 7) % 40) for u, v in rl.cycle(40).edges()])
-    result = are_isomorphic(g, h, deadline=1)
-    assert result is rl.TIMEOUT or result is not None
+    assert are_isomorphic(g, h, deadline=1) is rl.TIMEOUT
+    budget = rl.SearchBudget(10**6)
+    mapping = are_isomorphic(g, h, budget)
+    assert budget.spent == 40
+    assert sorted(mapping) == list(range(40))
+    assert all(h.is_edge(mapping[u], mapping[v]) for u, v in g.edges())
 
 
 def test_bipartite_even_diameter_has_disconnected_antipodal():

@@ -376,6 +376,45 @@ def test_analyze_unknown_on_budget_exhaustion():
         assert (v.rn_lower, v.rn_upper) == (9, None)
 
 
+def test_settle_closes_the_girth_8_cage():
+    # analyze leaves rn open above; the glued labeling closes it at |V|+1
+    g = rl.builtin_graph("cage-3-8")
+    assert analyze(g).rn_upper is None
+    v, lab = rl.settle(g)
+    assert (v.status, v.rule) == (NOT_RADIO_GRACEFUL, "bipartite-even-diameter")
+    assert v.rn_lower == v.rn_upper == lab.span == 31
+    assert verify(g, lab) == []
+
+
+def test_settle_cage_search_timeout_leaves_rn_open():
+    v, lab = rl.settle(rl.builtin_graph("cage-3-8"), deadline=1)
+    assert lab is TIMEOUT
+    assert (v.rn_lower, v.rn_upper) == (31, None)
+
+
+def test_settle_small_graphs_use_the_oracle():
+    v, lab = rl.settle(rl.cycle(7))
+    assert (v.status, v.rule) == (NOT_RADIO_GRACEFUL, "exact-oracle")
+    assert v.rn_lower == v.rn_upper == lab.span == 10
+    # C8 passes the bipartite girth-8 checks but not the cage gluing's;
+    # the oracle settles it first
+    v, lab = rl.settle(rl.cycle(8))
+    assert (v.status, v.rule) == (NOT_RADIO_GRACEFUL, "bipartite-even-diameter")
+    assert v.rn_lower == v.rn_upper == lab.span == 14
+    assert verify(rl.cycle(8), lab) == []
+    # a graceful verdict keeps analyze's own certificate
+    g = rl.petersen()
+    v, lab = rl.settle(g)
+    assert lab == analyze(g).certificate and v.rn_upper == 10
+
+
+def test_settle_leaves_other_large_graphs_to_analyze():
+    for g in (rl.cycle(13), rl.complete_bipartite(7, 7), rl.projective_plane_incidence(2)):
+        v, lab = rl.settle(g)
+        assert v == analyze(g)
+        assert lab == (v.certificate if v.status == RADIO_GRACEFUL else None)
+
+
 def test_analyze_certificates_are_sound(atlas7):
     rng = random.Random(5)
     sample = rng.sample(atlas7, 120)
