@@ -8,16 +8,17 @@ Incidence graphs carry ``parts`` labels (0 = points, 1 = lines).
 from __future__ import annotations
 
 from importlib import resources
-from typing import Iterable
+from itertools import product
+from typing import Callable, Iterable
 
 from .errors import BadParams, LoopError, NotPrimePower, ParseError, UnsupportedOrder
 from .field import (
+    FieldSpec,
     field_add,
     field_inv,
     field_mul,
     field_neg,
     make_field,
-    primitive_element,
     singer_difference_set,
 )
 from .graphcore import Graph, diameter, girth, regularity
@@ -125,49 +126,45 @@ def hoffman_singleton() -> Graph:
 # projective geometry machinery
 
 
-class _FieldOps:
-    """FieldSpec plus cached arithmetic tables for the small orders used here."""
-
-    def __init__(self, q: int):
-        self.f = make_field(q)
-        self.q = q
-        self.add = [[field_add(self.f, a, b) for b in range(q)] for a in range(q)]
-        self.mul = [[field_mul(self.f, a, b) for b in range(q)] for a in range(q)]
-        self.neg = [field_neg(self.f, a) for a in range(q)]
-        self.inv = [0] + [field_inv(self.f, a) for a in range(1, q)]
-
-    def dot(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        total = 0
-        for a, b in zip(u, v):
-            total = self.add[total][self.mul[a][b]]
-        return total
-
-    def normalize(self, vec: list[int]) -> tuple[int, ...]:
-        """Scale a nonzero vector so its leftmost nonzero coordinate is 1."""
-        for c in vec:
-            if c:
-                s = self.inv[c]
-                return tuple(self.mul[s][x] for x in vec)
-        raise ValueError("zero vector has no projective class")
-
-
-def _pg_points(ops: _FieldOps, ncoords: int) -> list[tuple[int, ...]]:
+def _pg_points(q: int, ncoords: int) -> list[tuple[int, ...]]:
     """Canonical points of PG(ncoords-1, q): leftmost nonzero coordinate 1,
     sorted lexicographically by coordinate encodings."""
-    q = ops.q
-    pts = []
-    for lead in range(ncoords):
-        tail = ncoords - lead - 1
-        for rest in range(q**tail):
-            coords = [0] * lead + [1]
-            r = rest
-            suffix = []
-            for _ in range(tail):
-                suffix.append(r % q)
-                r //= q
-            coords += reversed(suffix)
-            pts.append(tuple(coords))
-    return sorted(pts)
+    return [
+        (0,) * lead + (1,) + rest
+        for lead in reversed(range(ncoords))
+        for rest in product(range(q), repeat=ncoords - lead - 1)
+    ]
+
+
+def _perps(
+    f: FieldSpec,
+    pts: list[tuple[int, ...]],
+    form: Callable[[tuple[int, ...]], tuple[int, ...]],
+) -> list[set[int]]:
+    """For each point u, the indices of the points v with form(u).v = 0.
+
+    The hyperplane is solved for the last nonzero coordinate c of w =
+    form(u), over the canonical points r of the remaining coordinates:
+    v_c = sum over i != c of (-w_i/w_c) r_i.  Each solution is canonical as
+    it stands: when r is zero before c, every w_i after c is zero, so v_c is
+    zero too and the leading 1 of r stays the leading coordinate of v.
+    """
+    index = {v: i for i, v in enumerate(pts)}
+    rests = _pg_points(f.q, len(pts[0]) - 1)
+    perps = []
+    for u in pts:
+        w = form(u)
+        c = max(i for i, x in enumerate(w) if x)
+        scale = field_neg(f, field_inv(f, w[c]))
+        coeffs = [field_mul(f, scale, x) for x in w[:c] + w[c + 1:]]
+        perp = set()
+        for rest in rests:
+            vc = 0
+            for a, b in zip(coeffs, rest):
+                vc = field_add(f, vc, field_mul(f, a, b))
+            perp.add(index[rest[:c] + (vc,) + rest[c:]])
+        perps.append(perp)
+    return perps
 
 
 def projective_plane_incidence(q: int) -> Graph:
@@ -177,15 +174,11 @@ def projective_plane_incidence(q: int) -> Graph:
     are lines with line j having the same coordinate triple as point j;
     point i lies on line j iff the triples are orthogonal.
     """
-    ops = _FieldOps(q)
-    pts = _pg_points(ops, 3)
+    f = make_field(q)
+    pts = _pg_points(q, 3)
     n = len(pts)
-    edges = [
-        (i, n + j)
-        for i in range(n)
-        for j in range(n)
-        if ops.dot(pts[i], pts[j]) == 0
-    ]
+    perp = _perps(f, pts, lambda u: u)
+    edges = [(i, n + j) for i in range(n) for j in sorted(perp[i])]
     return Graph(2 * n, edges, parts=[0] * n + [1] * n)
 
 
@@ -195,34 +188,19 @@ def generalized_quadrangle_incidence(q: int) -> Graph:
     Points are the canonical points of PG(3,q) (vertices 0..N-1, N =
     (q+1)(q^2+1)); lines are the totally isotropic lines of the form
     x0*y1 - x1*y0 + x2*y3 - x3*y2, numbered N..2N-1 sorted by their point
-    index tuples.  The construction is validated against the expected
-    regularity, diameter 4 and girth 8 before returning.
+    index tuples.  The line through orthogonal points x and y is {x,y}^perp,
+    the meet of their perps.  The construction is validated against the
+    expected regularity, diameter 4 and girth 8 before returning.
     """
-    ops = _FieldOps(q)
-    pts = _pg_points(ops, 4)
+    f = make_field(q)
+    pts = _pg_points(q, 4)
     n = len(pts)
-    index = {p: i for i, p in enumerate(pts)}
-
-    def symplectic(u, v) -> int:
-        a = ops.mul[u[0]][v[1]]
-        b = ops.mul[u[1]][v[0]]
-        c = ops.mul[u[2]][v[3]]
-        d = ops.mul[u[3]][v[2]]
-        return ops.add[ops.add[a][ops.neg[b]]][ops.add[c][ops.neg[d]]]
-
-    lines = set()
-    for i in range(n):
-        u = pts[i]
-        for j in range(i + 1, n):
-            v = pts[j]
-            if symplectic(u, v):
-                continue
-            members = [j]
-            for t in range(q):
-                w = [ops.add[u[c]][ops.mul[t][v[c]]] for c in range(4)]
-                members.append(index[ops.normalize(w)])
-            lines.add(tuple(sorted(members)))
-    lines = sorted(lines)
+    perp = _perps(
+        f, pts, lambda u: (field_neg(f, u[1]), u[0], field_neg(f, u[3]), u[2])
+    )
+    lines = sorted(
+        {tuple(sorted(perp[i] & perp[j])) for i in range(n) for j in perp[i] if j > i}
+    )
     if len(lines) != n:
         raise AssertionError(f"W({q}): found {len(lines)} isotropic lines, wanted {n}")
     edges = [(p, n + li) for li, line in enumerate(lines) for p in line]
@@ -237,16 +215,11 @@ def generalized_quadrangle_incidence(q: int) -> Graph:
 def erdos_renyi_polarity(q: int) -> Graph:
     """Polarity graph on the canonical points of PG(2,q): distinct points
     adjacent iff orthogonal; self-orthogonal (quadric) points carry no loop."""
-    ops = _FieldOps(q)
-    pts = _pg_points(ops, 3)
-    n = len(pts)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if ops.dot(pts[i], pts[j]) == 0
-    ]
-    return Graph(n, edges)
+    f = make_field(q)
+    pts = _pg_points(q, 3)
+    perp = _perps(f, pts, lambda u: u)
+    edges = [(i, j) for i in range(len(pts)) for j in sorted(perp[i]) if j > i]
+    return Graph(len(pts), edges)
 
 
 def singer_graph(q: int) -> Graph:
@@ -254,9 +227,11 @@ def singer_graph(q: int) -> Graph:
     the canonical Singer difference set; the q+1 loop positions are dropped."""
     ds = singer_difference_set(q)
     n = ds.modulus
-    member = ds.member_set()
     edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if (i + j) % n in member
+        (i, j)
+        for i in range(n)
+        for j in sorted((d - i) % n for d in ds.elements)
+        if j > i
     ]
     return Graph(n, edges)
 
@@ -278,12 +253,8 @@ def mms_graph(q: int) -> Graph:
         raise UnsupportedOrder(str(exc)) from exc
     if q % 4 != 1:
         raise UnsupportedOrder(f"need q = 1 (mod 4), got q = {q}")
-    xi = primitive_element(f)
-    powers = [1]
-    for _ in range(q - 2):
-        powers.append(field_mul(f, powers[-1], xi))
-    even = frozenset(powers[0::2])
-    odd = frozenset(powers[1::2])
+    even = frozenset(f.exp[0:q - 1:2])
+    odd = frozenset(f.exp[1:q - 1:2])
 
     def vid(s: int, a: int, b: int) -> int:
         return s * q * q + a * q + b

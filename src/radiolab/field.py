@@ -2,9 +2,12 @@
 
 Elements of GF(p^k) are encoded as integers in ``0..q-1`` whose base-p
 digits are the coefficients of a polynomial over GF(p), constant term
-least significant.  The field is represented by its reducing polynomial,
+least significant.  The field is defined by its reducing polynomial,
 chosen as the lexicographically smallest monic irreducible of the right
 degree so that every run of the program builds the identical field.
+Polynomial arithmetic runs only while a field is built: it fixes the
+primitive element and fills exp, log and Zech logarithm tables of O(q)
+entries, and every ``field_*`` operation afterwards is a table lookup.
 
 Only what the graph-family constructors need lives here; this is not a
 general-purpose finite field library.
@@ -12,7 +15,7 @@ general-purpose finite field library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotPrimePower, ZeroInverse
 
@@ -37,13 +40,26 @@ class FieldSpec:
     """A concrete GF(q) with q = p^k.
 
     ``modulus`` is the reducing polynomial as a coefficient tuple, constant
-    term first, length k+1, leading coefficient 1.
+    term first, length k+1, leading coefficient 1.  The tables derived from
+    it follow xi, the smallest generator of the unit group in encoding
+    order: ``exp[i] = xi^i`` for 0 <= i < 2(q-1) (the unit group twice over,
+    so a sum of two logs needs no reduction), ``log`` its inverse with
+    ``log[0] = -1``, and the Zech logarithms ``zech[i] = log(1 + xi^i)``.
     """
 
     p: int
     k: int
     q: int
     modulus: tuple[int, ...]
+    exp: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    log: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    zech: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        exp, log, zech = _tables(self.p, self.k, self.modulus)
+        object.__setattr__(self, "exp", exp)
+        object.__setattr__(self, "log", log)
+        object.__setattr__(self, "zech", zech)
 
 
 @dataclass(frozen=True)
@@ -164,6 +180,31 @@ def make_field(q: int) -> FieldSpec:
     return FieldSpec(p=p, k=k, q=q, modulus=_smallest_irreducible(p, k))
 
 
+def _tables(p: int, k: int, modulus: tuple[int, ...]):
+    """exp (twice over), log and Zech log tables of GF(p^k) mod ``modulus``.
+
+    Candidates are walked in encoding order, each through its powers until
+    they return to 1; the first whose powers fill the unit group is xi.
+    """
+    q, m = p**k, list(modulus)
+    for cand in range(1, q):
+        a = _digits(cand, p, k)
+        powers, x = [], [1]
+        while True:
+            powers.append(_encode(x, p))
+            x = _poly_mod(_poly_mul(x, a, p), m, p)
+            if x == [1]:
+                break
+        if len(powers) == q - 1:
+            break
+    log = [-1] * q
+    for i, v in enumerate(powers):
+        log[v] = i
+    # adding 1 adds one to the constant digit, the least significant one
+    zech = tuple(log[v - v % p + (v + 1) % p] for v in powers)
+    return tuple(powers * 2), tuple(log), zech
+
+
 def _check_range(f: FieldSpec, *elems: int) -> None:
     for a in elems:
         if not 0 <= a < f.q:
@@ -171,18 +212,17 @@ def _check_range(f: FieldSpec, *elems: int) -> None:
 
 
 def field_add(f: FieldSpec, a: int, b: int) -> int:
+    """a + b = xi^la (1 + xi^(lb-la)), one Zech lookup."""
     _check_range(f, a, b)
-    if f.k == 1:
-        return (a + b) % f.p
-    da, db = _digits(a, f.p, f.k), _digits(b, f.p, f.k)
-    return _encode([(x + y) % f.p for x, y in zip(da, db)], f.p)
+    if not a or not b:
+        return a or b
+    z = f.zech[(f.log[b] - f.log[a]) % (f.q - 1)]
+    return f.exp[f.log[a] + z] if z >= 0 else 0
 
 
 def field_neg(f: FieldSpec, a: int) -> int:
     _check_range(f, a)
-    if f.k == 1:
-        return (-a) % f.p
-    return _encode([(-x) % f.p for x in _digits(a, f.p, f.k)], f.p)
+    return f.exp[f.log[a] + f.log[f.p - 1]] if a else 0  # -1 encodes as p-1
 
 
 def field_sub(f: FieldSpec, a: int, b: int) -> int:
@@ -191,43 +231,29 @@ def field_sub(f: FieldSpec, a: int, b: int) -> int:
 
 def field_mul(f: FieldSpec, a: int, b: int) -> int:
     _check_range(f, a, b)
-    if f.k == 1:
-        return (a * b) % f.p
-    prod = _poly_mul(_digits(a, f.p, f.k), _digits(b, f.p, f.k), f.p)
-    return _encode(_poly_mod(prod, list(f.modulus), f.p), f.p)
+    return f.exp[f.log[a] + f.log[b]] if a and b else 0
 
 
 def field_pow(f: FieldSpec, a: int, e: int) -> int:
     _check_range(f, a)
+    if a:
+        return f.exp[f.log[a] * e % (f.q - 1)]
     if e < 0:
-        return field_pow(f, field_inv(f, a), -e)
-    result = 1
-    base = a
-    while e:
-        if e & 1:
-            result = field_mul(f, result, base)
-        base = field_mul(f, base, base)
-        e >>= 1
-    return result
+        raise ZeroInverse("0 has no multiplicative inverse")
+    return 0 if e else 1
 
 
 def field_inv(f: FieldSpec, a: int) -> int:
-    """Multiplicative inverse; a^(q-2) since the unit group has order q-1."""
+    """Multiplicative inverse, xi^(-log a)."""
     if a == 0:
         raise ZeroInverse("0 has no multiplicative inverse")
     _check_range(f, a)
-    return field_pow(f, a, f.q - 2)
+    return f.exp[-f.log[a] % (f.q - 1)]
 
 
 def primitive_element(f: FieldSpec) -> int:
     """Smallest element (in encoding order) generating the unit group."""
-    if f.q == 2:
-        return 1
-    prime_parts = _factorize(f.q - 1)
-    for a in range(2, f.q):
-        if all(field_pow(f, a, (f.q - 1) // r) != 1 for r in prime_parts):
-            return a
-    raise AssertionError("no primitive element found")  # impossible
+    return f.exp[1]
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +290,12 @@ def singer_difference_set(q: int) -> DifferenceSet:
     make_field(q)  # surfaces NotPrimePower for bad q
     cube = make_field(q**3)
     n = q * q + q + 1
-    xi = primitive_element(cube)
+    order = q**3 - 1
     raw = []
-    y = 1
     for i in range(n):
-        trace = field_add(
-            cube,
-            field_add(cube, y, field_pow(cube, y, q)),
-            field_pow(cube, y, q * q),
-        )
-        if trace == 0:
+        y, yq, yqq = (cube.exp[i * e % order] for e in (1, q, q * q))
+        if field_add(cube, field_add(cube, y, yq), yqq) == 0:
             raw.append(i)
-        y = field_mul(cube, y, xi)
     if len(raw) != q + 1:
         raise AssertionError(f"trace-zero line has {len(raw)} points, wanted {q + 1}")
     canonical = min(tuple(sorted((d + t) % n for d in raw)) for t in range(n))

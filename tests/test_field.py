@@ -153,3 +153,18 @@ def test_singer_set_is_lexicographically_minimal_translate(q):
 def test_field_pow_negative_exponent():
     f = make_field(7)
     assert field_pow(f, 3, -1) == field_inv(f, 3)
+
+
+@pytest.mark.parametrize("q", [25, 27, 32, 49, 64, 81])
+def test_extension_field_tables_match_polynomial_arithmetic(q):
+    # orders beyond the axioms test: Zech addition with k > 1, odd p included
+    from radiolab.field import _digits, _encode, _poly_mod, _poly_mul
+
+    f = make_field(q)
+    p, k, m = f.p, f.k, list(f.modulus)
+    digits = [_digits(a, p, k) for a in range(q)]
+    for a in range(q):
+        for b in range(q):
+            da, db = digits[a], digits[b]
+            assert field_mul(f, a, b) == _encode(_poly_mod(_poly_mul(da, db, p), m, p), p)
+            assert field_add(f, a, b) == _encode([(x + y) % p for x, y in zip(da, db)], p)
