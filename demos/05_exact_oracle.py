@@ -2,9 +2,14 @@
 
 radio_number_exact() runs a branch-and-bound over vertex orderings: the
 vertex placed next always takes the smallest label every earlier vertex
-allows, and branches die as soon as a distance-aware bound says they
-cannot beat the incumbent.  It is exact, so it doubles as the referee for
-the theorem-driven analyzer on everything small enough to enumerate.
+allows.  Consecutive labels of x then y differ by at least
+diam + 1 - d(x, y), so a branch dies as soon as its label plus the least
+such total along a path through the unplaced vertices cannot beat the
+incumbent.  Those least totals form a Held-Karp table over (vertex
+subset, end vertex), built only once a branch gets past the cheaper
+one-label-per-vertex bound.  The oracle is exact, so it doubles as the
+referee for the theorem-driven analyzer on everything small enough to
+enumerate.
 """
 
 import radiolab as rl

@@ -149,7 +149,7 @@ def cmd_analyze(args) -> int:
     g = families.read_edge_list(args.graph)
     dist = all_pairs_distances(g)
     verdict, labeling = settle(g, args.budget, dist)
-    if labeling is TIMEOUT:  # the cage search ran out; the verdict stands
+    if labeling is TIMEOUT:  # the oracle or the cage search ran out; the verdict stands
         labeling = None
     payload = verdict.to_json_dict()
     payload.update({"n": g.n, "diameter": diameter(g, dist)})
@@ -279,7 +279,11 @@ def cmd_radio_number(args) -> int:
     g = families.read_edge_list(args.graph)
     # the oracle refuses larger graphs before it reads any distance
     dist = all_pairs_distances(g) if g.n <= args.limit else None
-    rn, witness = radio_number_exact(g, args.limit, dist)
+    exact = radio_number_exact(g, args.limit, dist)
+    if exact is TIMEOUT:
+        print("search budget exhausted", file=sys.stderr)
+        return EXIT_TIMEOUT
+    rn, witness = exact
     if args.json:
         sys.stdout.write(_dump_json({"rn": rn, "labels": list(witness.labels)}))
     else:

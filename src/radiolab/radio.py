@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .budget import TIMEOUT, SearchBudget, as_budget
+from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
 from .errors import (
     BadCertificate,
     ConstructionFailed,
@@ -481,33 +481,75 @@ def singer_label_erq_complement(q: int) -> RadioLabeling:
 # exact oracle
 
 ORACLE_VERTEX_LIMIT = 12
+PATH_TABLE_VERTEX_LIMIT = 20  # 2^20 * 20 int16 entries: 40 MiB
+_UNSET = np.iinfo(np.int16).max // 2  # above any path total, with room to add a need
+
+
+def _path_table(need: np.ndarray) -> np.ndarray:
+    """Held-Karp table for a symmetric ``need``: H[S, v] is the least total
+    need over the steps of a path that covers exactly the vertex bitmask S
+    and ends at v (v in S; other entries are never read).
+
+    Filled one popcount layer at a time; no temporary holds more entries
+    than the table.  Raises TooLarge above PATH_TABLE_VERTEX_LIMIT vertices.
+    """
+    n = len(need)
+    if n > PATH_TABLE_VERTEX_LIMIT:
+        raise TooLarge(
+            f"the path-bound table of {n} vertices exceeds the limit of "
+            f"{PATH_TABLE_VERTEX_LIMIT}"
+        )
+    masks = np.arange(1 << n)
+    size = np.zeros(1 << n, dtype=np.int8)
+    for b in range(n):
+        size += (masks >> b) & 1
+    table = np.full((1 << n, n), _UNSET, dtype=np.int16)
+    table[1 << np.arange(n), np.arange(n)] = 0
+    need = need.astype(np.int16)
+    for k in range(2, n + 1):
+        layer = masks[size == k]
+        for v in range(n):
+            bit = 1 << v
+            sets = layer[layer & bit != 0]
+            table[sets, v] = (table[sets ^ bit] + need[v]).min(axis=1)
+    return table
 
 
 def radio_number_exact(
-    g: Graph, vertex_limit: int = ORACLE_VERTEX_LIMIT, dist: Optional[np.ndarray] = None
-) -> tuple[int, RadioLabeling]:
-    """Exact rn(g) with an optimal witness, by branch and bound.
+    g: Graph,
+    vertex_limit: int = ORACLE_VERTEX_LIMIT,
+    dist: Optional[np.ndarray] = None,
+    deadline: int | SearchBudget | None = None,
+):
+    """Exact rn(g) and an optimal witness, by branch and bound, or TIMEOUT
+    when the node budget runs out first (one node per search node).
 
-    Vertices are placed in increasing label order; each new vertex takes
-    the smallest label compatible with everything placed, and a branch is
-    cut as soon as even one-label steps cannot beat the incumbent.
+    Vertices are placed in increasing label order, in index order among
+    siblings, and each takes the smallest label compatible with everything
+    placed.  Consecutive labels of x then y differ by at least
+    need(x, y) = diam + 1 - d(x, y) >= 1, so a child v placed at label f,
+    with R the unplaced vertices (v among them), ends at a span of at least
+    f + H[R, v]: the least total need along a path that covers exactly R
+    and ends at v, read from :func:`_path_table`.  A child is cut when the
+    cheap bound f + |R| - 1, or else this path bound, reaches the
+    incumbent.  The incumbent starts from greedy labelings and only a
+    strictly smaller span replaces it, so the witness is the first optimum
+    in search order whatever the bounds cut.
+
+    The table is built at the first child that passes the cheap bound: a
+    graph whose greedy incumbent is already |V| never pays for it, and one
+    too large for the table raises TooLarge there.
     """
     n = g.n
     if n > vertex_limit:
         raise TooLarge(f"{n} vertices exceeds the oracle limit {vertex_limit}")
     dist_np = all_pairs_distances(g) if dist is None else dist
     diam = diameter(g, dist_np)  # raises Disconnected
-    need = [[diam + 1 - int(dist_np[u, v]) for v in range(n)] for u in range(n)]
+    need_np = diam + 1 - dist_np
+    need = need_np.tolist()
     if n == 1:
         return 1, RadioLabeling((1,))
-
-    # two largest distances out of each vertex; in label order every vertex
-    # touches at most two consecutive-pair steps, so half their sum bounds
-    # the total distance along any completion chain from above
-    top2 = []
-    for u in range(n):
-        row = sorted((int(dist_np[u, v]) for v in range(n) if v != u), reverse=True)
-        top2.append((row[0], row[0] + (row[1] if len(row) > 1 else 0)))
+    budget = as_budget(deadline)
 
     def greedy_fixed(seq: list[int]) -> tuple[int, list[int]]:
         labels = [0] * n
@@ -546,13 +588,14 @@ def radio_number_exact(
     placed: list[int] = []
     fvals: list[int] = []
     lower = [1] * n  # smallest label each unplaced vertex could still take
-    used = [False] * n
-    sum_top2 = sum(t[1] for t in top2)  # over unplaced vertices
+    table = None
 
-    def dfs(last_label: int):
-        nonlocal best_span, best_labels, sum_top2
-        depth = len(placed)
-        if depth == n:
+    def dfs(last_label: int, rest: int):
+        # rest: bitmask of the vertices still to place
+        nonlocal best_span, best_labels, table
+        if not budget.charge():
+            raise BudgetExhausted
+        if not rest:
             if last_label < best_span:
                 best_span = last_label
                 labels = [0] * n
@@ -560,41 +603,37 @@ def radio_number_exact(
                     labels[v] = f
                 best_labels = labels
             return
-        steps = n - depth - 1  # consecutive pairs still to come after v
+        steps = n - len(placed) - 1  # consecutive pairs still to come after v
         for v in range(n):
-            if used[v]:
+            if not rest >> v & 1:
                 continue
-            f = lower[v] if depth else 1
+            f = lower[v]
             if f + steps >= best_span:
                 continue
-            # chain bound: remaining gaps sum to >= steps*(diam+1) - (total
-            # distance along the completion chain), the latter at most half
-            # the top-two distance mass of the vertices involved
-            if steps:
-                chain_dist = (sum_top2 - top2[v][1] + top2[v][0]) // 2
-                if f + steps * (diam + 1) - chain_dist >= best_span:
-                    continue
-            used[v] = True
+            if table is None:
+                table = _path_table(need_np)
+            if f + int(table[rest, v]) >= best_span:
+                continue
             placed.append(v)
             fvals.append(f)
-            sum_top2 -= top2[v][1]
+            left = rest ^ (1 << v)
             saved = []
             for u in range(n):
-                if not used[u]:
+                if left >> u & 1:
                     nb = f + need[v][u]
                     if nb > lower[u]:
                         saved.append((u, lower[u]))
                         lower[u] = nb
-            dfs(f)
+            dfs(f, left)
             for u, old in saved:
                 lower[u] = old
-            sum_top2 += top2[v][1]
-            used[v] = False
             placed.pop()
             fvals.pop()
 
-    dfs(0)
-    assert best_labels is not None
+    try:
+        dfs(0, (1 << n) - 1)
+    except BudgetExhausted:
+        return TIMEOUT
     return best_span, RadioLabeling(tuple(best_labels))
 
 
@@ -693,15 +732,20 @@ def settle(
     vertex limit the exact rn closes both bounds and decides an Unknown
     verdict (rule ``exact-oracle``); above it, a non-graceful girth-8 cage
     gets the glued labeling as its upper bound.  The labeling is a
-    RadioLabeling, TIMEOUT (cage search budget) or None.
+    RadioLabeling, TIMEOUT (the oracle or the cage search ran out of the
+    one node budget that all three share; the verdict is analyze's) or None.
     """
     if dist is None:
         dist = all_pairs_distances(g)
-    verdict = analyze(g, deadline, dist)
+    budget = as_budget(deadline)
+    verdict = analyze(g, budget, dist)
     if verdict.status == RADIO_GRACEFUL:
         return verdict, verdict.certificate
     if g.n <= ORACLE_VERTEX_LIMIT:
-        rn, witness = radio_number_exact(g, dist=dist)
+        exact = radio_number_exact(g, dist=dist, deadline=budget)
+        if exact is TIMEOUT:
+            return verdict, TIMEOUT
+        rn, witness = exact
         if verdict.status == UNKNOWN:
             status = RADIO_GRACEFUL if rn == g.n else NOT_RADIO_GRACEFUL
             verdict = replace(verdict, status=status, rule="exact-oracle")
@@ -709,7 +753,7 @@ def settle(
     if verdict.status == UNKNOWN:
         return verdict, None
     try:
-        labeling = label_quadrangle_cage(g, deadline, dist=dist)
+        labeling = label_quadrangle_cage(g, budget, dist=dist)
     except PreconditionFailed:
         return verdict, None
     if isinstance(labeling, RadioLabeling):

@@ -279,6 +279,19 @@ def test_radio_number_command(tmp_path, capsys):
     assert code == 0 and out.strip() == "13"
 
 
+def test_radio_number_budget_and_table_limit(tmp_path, capsys, monkeypatch):
+    c12 = str(tmp_path / "c12.el")
+    run(capsys, "construct", "cycle", "12", "-o", c12)
+    monkeypatch.setenv("RADIOLAB_NODE_BUDGET", "1")
+    code, out, err = run(capsys, "radio-number", c12)
+    assert (code, out) == (2, "") and "search budget exhausted" in err
+    monkeypatch.delenv("RADIOLAB_NODE_BUDGET")
+    p30 = str(tmp_path / "p30.el")
+    run(capsys, "construct", "path", "30", "-o", p30)
+    code, _, err = run(capsys, "radio-number", p30, "--limit", "30")
+    assert code == 3 and "path-bound table" in err
+
+
 def test_check_sequence_benchmark_data(tmp_path, capsys):
     graph_file = str(tmp_path / "cage.el")
     run(capsys, "construct", "cage-3-8", "-o", graph_file)

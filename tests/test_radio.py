@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 import radiolab as rl
@@ -16,6 +18,7 @@ from radiolab import (
     PathCertificate,
     PreconditionFailed,
     RadioLabeling,
+    SearchBudget,
     TooLarge,
     UnsupportedDiameter,
     all_pairs_distances,
@@ -33,6 +36,7 @@ from radiolab import (
     singer_label_erq_complement,
     verify,
 )
+from radiolab.radio import _path_table
 
 from conftest import brute_radio_number, random_connected_graph
 
@@ -271,6 +275,96 @@ def test_radio_number_c6_against_bruteforce():
     assert radio_number_exact(rl.cycle(6))[0] == brute_radio_number(rl.cycle(6)) == 8
 
 
+def test_radio_number_path_table_too_large():
+    # the path-bound table is refused before it is allocated
+    with pytest.raises(TooLarge, match="path-bound table"):
+        radio_number_exact(rl.path(30), vertex_limit=30)
+    # a greedy incumbent of |V| ends the search before any table is built
+    assert radio_number_exact(rl.complete(25), vertex_limit=25)[0] == 25
+
+
+def test_radio_number_honours_the_budget():
+    assert radio_number_exact(rl.cycle(12), deadline=1) is TIMEOUT
+    budget = SearchBudget(10**6)
+    rn, _ = radio_number_exact(rl.cycle(12), deadline=budget)
+    assert rn == 27 and 0 < budget.spent < 10**5
+    # complete graphs stop at the root: the greedy incumbent is optimal
+    budget = SearchBudget(1)
+    assert radio_number_exact(rl.complete(6), deadline=budget)[0] == 6
+    assert budget.spent == 1
+
+
+def liu_zhu_path(n):
+    """rn(P_n), Liu & Zhu (SIAM J. Discrete Math. 2005), labels from 1."""
+    k = n // 2
+    return 2 * k * k + 3 if n % 2 else 2 * k * k - 2 * k + 2
+
+
+def liu_zhu_cycle(n):
+    """rn(C_n), Liu & Zhu (SIAM J. Discrete Math. 2005), labels from 1.
+
+    With n = 4k + r, their phi(n) is k + 1 when r = 1 and k + 2 otherwise;
+    rn - 1 is (n - 2)/2 * phi(n) + 1 for even n and (n - 1)/2 * phi(n)
+    for odd n."""
+    k, r = divmod(n, 4)
+    phi = k + 1 if r == 1 else k + 2
+    if n % 2 == 0:
+        return (n - 2) // 2 * phi + 2
+    return (n - 1) // 2 * phi + 1
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_radio_number_matches_liu_zhu(n):
+    assert radio_number_exact(rl.path(n))[0] == liu_zhu_path(n)
+    assert radio_number_exact(rl.cycle(n))[0] == liu_zhu_cycle(n)
+
+
+def brute_path_table(need):
+    """H[S][v] by enumerating every ordering of every vertex subset."""
+    n = len(need)
+    best = {}
+    for k in range(1, n + 1):
+        for order in itertools.permutations(range(n), k):
+            mask = sum(1 << v for v in order)
+            cost = sum(need[a][b] for a, b in zip(order, order[1:]))
+            key = (mask, order[-1])
+            best[key] = min(best.get(key, cost), cost)
+    return best
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_path_table_matches_enumeration(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        diam = rng.randint(1, 6)
+        need = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                need[u][v] = need[v][u] = rng.randint(1, diam)
+        table = _path_table(np.array(need))
+        for (mask, v), cost in brute_path_table(need).items():
+            assert int(table[mask, v]) == cost
+
+
+def diameter_two_graphs():
+    graphs = [rl.petersen(), rl.erdos_renyi_polarity(2), rl.erdos_renyi_polarity(3)]
+    rng = random.Random(2)
+    while len(graphs) < 40:
+        g = random_connected_graph(rng.randint(4, 10), rng.uniform(0.3, 0.8), rng)
+        if rl.diameter(g) == 2:
+            graphs.append(g)
+    return graphs
+
+
+def test_diameter_two_radio_number_is_one_plus_shortest_path_cover():
+    # at diameter <= 2 every gap can be exactly its need, so the table
+    # alone gives rn: the least total need over Hamiltonian paths, plus 1
+    for g in diameter_two_graphs():
+        need = 3 - all_pairs_distances(g)
+        table = _path_table(need)
+        assert radio_number_exact(g, g.n)[0] == 1 + int(table[-1].min())
+
+
 # ---------------------------------------------------------------------------
 # analyzer
 
@@ -390,6 +484,13 @@ def test_settle_cage_search_timeout_leaves_rn_open():
     v, lab = rl.settle(rl.builtin_graph("cage-3-8"), deadline=1)
     assert lab is TIMEOUT
     assert (v.rn_lower, v.rn_upper) == (31, None)
+
+
+def test_settle_oracle_timeout_leaves_rn_open():
+    v, lab = rl.settle(rl.cycle(12), 1)
+    assert lab is TIMEOUT
+    assert v == analyze(rl.cycle(12))
+    assert (v.rule, v.rn_lower, v.rn_upper) == ("bipartite-even-diameter", 13, None)
 
 
 def test_settle_small_graphs_use_the_oracle():
