@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternated parent/change pairs and summarise them.
+
+Each pair runs the unchanged ``bench/run.py`` of two checkouts, the parent
+and the change, on the same workload and seed, one process at a time; the
+side that runs first alternates from pair to pair.  The result is written
+in the layout of ``BENCH_6.json``: for every end-to-end metric of
+``BENCHMARK.json``, each side's quartiles (q1, median, q3, inclusive
+method) over the pairs, the number of pairs the change won and tied, and
+every pair's raw numbers.  The file is rewritten after every pair, so an
+interrupted run keeps what it measured.
+
+Make the parent checkout with, for example,
+
+    git archive <parent-commit> | (mkdir -p ../parent && tar -x -C ../parent)
+
+then, from the root of the change checkout,
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload geometry:101-110,20251001 --workload search:20251001 \\
+        --claim geometry:cases_per_s --out BENCH_7.json
+
+``--workload NAME:SEEDS`` may repeat; SEEDS is a comma list of seeds and
+inclusive ranges ``a-b``, one pair per seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+DEFAULT_SEED = 20251001
+SIDES = ("parent", "change")
+RULE = ("change better in at least 9 of 10 pairs, and median gap above the "
+        "parent's interquartile range")
+MACHINE_KEYS = ("default_seed", "machine", "platform", "processor", "nproc",
+                "python", "numpy", "scipy", "radiolab")
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run of the checkout's own bench; its last stdout line, with
+    each metric reduced to its value."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["metrics"] = {k: m["value"] for k, m in result["metrics"].items()}
+    return result
+
+
+def machine(checkout: Path, workload: str, seed: int) -> dict:
+    meta = json.loads((checkout / "bench" / "results" /
+                       f"{workload}-seed{seed}-trace0.json").read_text())["metadata"]
+    return {**{k: meta[k] for k in MACHINE_KEYS}, "git_commit": None}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarise(pairs: list[dict], metrics: dict[str, str]) -> dict:
+    out = {}
+    for name, better in metrics.items():
+        sign = 1 if better == "higher" else -1
+        gaps = [sign * (p["change"]["metrics"][name] - p["parent"]["metrics"][name])
+                for p in pairs]
+        out[name] = {
+            "better": better,
+            **{side: quartiles([p[side]["metrics"][name] for p in pairs])
+               for side in SIDES},
+            "change_wins": sum(gap > 0 for gap in gaps),
+            "ties": sum(gap == 0 for gap in gaps),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def claim_met(summary: dict) -> bool:
+    sign = 1 if summary["better"] == "higher" else -1
+    gap = sign * (summary["change"]["median"] - summary["parent"]["median"])
+    iqr = summary["parent"]["q3"] - summary["parent"]["q1"]
+    return summary["change_wins"] >= 0.9 * summary["pairs"] and gap > iqr
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        metavar="NAME:SEEDS")
+    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
+    parser.add_argument("--about", default="")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    checkout = {"parent": args.parent, "change": args.change}
+    report = {
+        "about": args.about,
+        "command": "python3 bench/run.py --workload <workload> --seed <seed> "
+                   f"--seconds {args.seconds:g}",
+        "machine": None,
+        "claim": None,
+        "workloads": {},
+    }
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        report["claim"] = {"workload": workload, "metric": metric, "rule": RULE,
+                           "unseen_seed": DEFAULT_SEED}
+    index = 0
+    for item in args.workload:
+        workload, seeds = item.split(":")
+        pairs = []
+        for seed in parse_seeds(seeds):
+            order = SIDES if index % 2 == 0 else SIDES[::-1]
+            index += 1
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_bench(checkout[side], workload, seed, args.seconds)
+            pairs.append(pair)
+            report["machine"] = report["machine"] or machine(args.change, workload, seed)
+            summary = summarise(pairs, metrics)
+            report["workloads"][workload] = {"summary": summary, "pairs": pairs}
+            claim = report["claim"]
+            if claim and claim["workload"] == workload:
+                claim["met"] = claim_met(summary[claim["metric"]])
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+            c, p = pair["change"]["metrics"], pair["parent"]["metrics"]
+            print(f"{workload} seed {seed} first {order[0]}: " + ", ".join(
+                f"{k} {p[k]:.4g} -> {c[k]:.4g}" for k in metrics), file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -180,11 +180,13 @@ def _infer_singer_q(n: int) -> int:
     return q
 
 
-def _transport_labels(target: Graph, g: Graph, labeling: RadioLabeling, budget):
-    """Carry a labeling of ``target`` over to the isomorphic graph ``g``."""
+def _transport_labels(target: Graph, g: Graph, labeling: RadioLabeling, budget,
+                      dist):
+    """Carry a labeling of ``target`` over to the isomorphic graph ``g``,
+    whose distance matrix is ``dist``."""
     if target == g:
         return labeling
-    mapping = are_isomorphic(target, g, budget)
+    mapping = are_isomorphic(target, g, budget, dist_h=dist)
     if mapping is TIMEOUT:
         return TIMEOUT
     if mapping is None:
@@ -228,7 +230,7 @@ def cmd_label(args) -> int:
         else:
             target = complement(families.singer_graph(q))
             base = singer_label_erq_complement(q)
-        labeling = _transport_labels(target, g, base, args.budget)
+        labeling = _transport_labels(target, g, base, args.budget, dist)
         if labeling is None:
             print("graph is not isomorphic to the Singer-construction target",
                   file=sys.stderr)

@@ -78,6 +78,19 @@ class Graph:
                         raise ValueError(f"edge ({u},{v}) does not cross parts")
         self.parts = parts
 
+    @classmethod
+    def _trusted(
+        cls, n: int, adj: tuple[frozenset[int], ...], num_edges: int
+    ) -> "Graph":
+        """A graph from adjacency sets the caller guarantees to be simple
+        and symmetric, with no per-edge checks."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.num_edges = num_edges
+        g._adj = adj
+        g.parts = None
+        return g
+
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
@@ -133,6 +146,15 @@ class Graph:
 # metrics
 
 
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees and the concatenated neighbour lists, in iteration order."""
+    degree = np.fromiter(map(len, g._adj), dtype=np.intp, count=g.n)
+    neighbours = np.fromiter(
+        chain.from_iterable(g._adj), dtype=np.intp, count=2 * g.num_edges
+    )
+    return degree, neighbours
+
+
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """BFS-exact all-pairs distances; UNREACHABLE marks cross-component pairs.
 
@@ -149,13 +171,10 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     n = g.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    degree = np.fromiter(map(len, g._adj), dtype=np.intp, count=n)
+    degree, neighbours = _csr(g)
     has_neighbours = degree > 0
     if not has_neighbours.any():
         return dist
-    neighbours = np.fromiter(
-        chain.from_iterable(g._adj), dtype=np.intp, count=2 * g.num_edges
-    )
     starts = (np.cumsum(degree) - degree)[has_neighbours]
     vertices = np.arange(n)
     balls = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
@@ -196,33 +215,52 @@ def diameter(g: Graph, dist: Optional[np.ndarray] = None) -> int:
     return int(dist.max())
 
 
-def girth(g: Graph) -> Optional[int]:
+# entries in the largest temporary of one girth block
+_GIRTH_BLOCK_ENTRIES = 1 << 16
+
+
+def girth(g: Graph, dist: Optional[np.ndarray] = None) -> Optional[int]:
     """Length of the shortest cycle, or None for acyclic graphs.
 
-    BFS from every root; the first non-tree edge seen from root r closes a
-    cycle of length d(r,u)+d(r,v)+1, and minimizing over all roots is exact
-    because every vertex of a shortest cycle is such a root.
+    Read from the distance matrix, root by root.  Seen from root s, an
+    edge whose ends both lie at distance d closes a cycle of length at
+    most 2d+1, and a vertex at distance d with two neighbours at distance
+    d-1 closes one of length at most 2d.  A shortest cycle of length 2d+1
+    (or 2d) shows exactly this pattern from any of its vertices, so the
+    least such length over all roots is the girth.  UNREACHABLE entries
+    never match.
+
+    Roots go in blocks of ``max(1, 2**16 // (2m))`` rows.  Every
+    temporary is a gather of the block's rows at no more than the 2m
+    neighbour-list entries, so it holds at most max(2**16, 2m) entries
+    whatever n is.
     """
+    if g.num_edges == 0:
+        return None
+    if dist is None:
+        dist = all_pairs_distances(g)
+    degree, neighbours = _csr(g)
+    owner = np.repeat(np.arange(g.n), degree)
+    active = np.flatnonzero(degree)  # reduceat needs non-empty segments
+    starts = (np.cumsum(degree) - degree)[active]
+    forward = owner < neighbours
+    ends_u, ends_v = owner[forward], neighbours[forward]
+    rows = max(1, _GIRTH_BLOCK_ENTRIES // len(neighbours))
     best: Optional[int] = None
-    for root in range(g.n):
-        depth = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if best is not None and depth[u] * 2 >= best:
-                break
-            for v in g.neighbors(u):
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u]:
-                    cycle = depth[u] + depth[v] + 1
-                    if best is None or cycle < best:
-                        best = cycle
+    for first in range(0, g.n, rows):
+        block = dist[first:first + rows]
+        du, dv = block[:, ends_u], block[:, ends_v]
+        level = du[(du == dv) & (du >= 0)]
+        if level.size:
+            odd = 2 * int(level.min()) + 1
+            best = odd if best is None else min(best, odd)
+        closer = block[:, neighbours] == block[:, owner] - 1
+        twice = np.add.reduceat(closer, starts, axis=1, dtype=np.int32) >= 2
+        if twice.any():
+            even = 2 * int(block[:, active][twice].min())
+            best = even if best is None else min(best, even)
+        if best == 3:
+            break
     return best
 
 
@@ -248,12 +286,28 @@ def components(g: Graph) -> list[list[int]]:
 
 
 def antipodal(g: Graph, dist: Optional[np.ndarray] = None) -> Graph:
-    """Graph joining exactly the vertex pairs at distance diam(g)."""
+    """Graph joining exactly the vertex pairs at distance diam(g).
+
+    Row v of ``dist == diam`` is the neighbour list of v, read in one
+    ``nonzero`` pass; beyond ``dist`` this needs the n-by-n boolean mask
+    and the index lists.  Each row becomes ``frozenset(set(ascending
+    list))``, the way ``Graph.__init__`` builds it from sorted edges, so
+    neighbour iteration order, on which the path searches' witnesses
+    depend, is that of the edge-list constructor.
+    """
     if dist is None:
         dist = all_pairs_distances(g)
     diam = diameter(g, dist)
-    us, vs = np.nonzero(np.triu(dist == diam, 1))
-    return Graph(g.n, zip(us.tolist(), vs.tolist()))
+    mask = dist == diam
+    np.fill_diagonal(mask, False)
+    counts = mask.sum(axis=1).tolist()
+    columns = np.nonzero(mask)[1].tolist()
+    adj = []
+    end = 0
+    for count in counts:
+        start, end = end, end + count
+        adj.append(frozenset(set(columns[start:end])))
+    return Graph._trusted(g.n, tuple(adj), len(columns) // 2)
 
 
 def complement(g: Graph) -> Graph:
@@ -314,17 +368,20 @@ def bipartite_moore_bound(delta: int, diam: int) -> int:
 # isomorphism
 
 
-def _initial_colors(g: Graph) -> list[tuple]:
-    dist = all_pairs_distances(g)
+def _initial_colors(g: Graph, dist: Optional[np.ndarray]) -> list[tuple]:
+    if dist is None:
+        dist = all_pairs_distances(g)
     return [
         (g.degree(v), tuple(sorted(int(x) for x in dist[v]))) for v in range(g.n)
     ]
 
 
-def _refine_colors_jointly(g: Graph, h: Graph) -> tuple[list[tuple], list[tuple]]:
+def _refine_colors_jointly(
+    g: Graph, h: Graph, dist_g: Optional[np.ndarray], dist_h: Optional[np.ndarray]
+) -> tuple[list[tuple], list[tuple]]:
     """Neighborhood-color refinement run in lockstep on both graphs so the
     resulting color tuples are directly comparable across them."""
-    cg, ch = _initial_colors(g), _initial_colors(h)
+    cg, ch = _initial_colors(g, dist_g), _initial_colors(h, dist_h)
     while True:
         rg = [
             (cg[v], tuple(sorted(cg[u] for u in g.neighbors(v))))
@@ -340,13 +397,19 @@ def _refine_colors_jointly(g: Graph, h: Graph) -> tuple[list[tuple], list[tuple]
 
 
 def are_isomorphic(
-    g: Graph, h: Graph, deadline: int | SearchBudget | None = None
+    g: Graph,
+    h: Graph,
+    deadline: int | SearchBudget | None = None,
+    dist_g: Optional[np.ndarray] = None,
+    dist_h: Optional[np.ndarray] = None,
 ):
     """A vertex bijection g -> h preserving adjacency, None, or TIMEOUT.
 
     Backtracking over color classes from degree/distance-profile refinement;
     None is returned only from an invariant mismatch or an exhausted search,
     so it is a proof of non-isomorphism.  The deadline counts search nodes.
+    ``dist_g`` and ``dist_h`` are the graphs' distance matrices when the
+    caller holds them already.
     """
     if g.n != h.n or g.num_edges != h.num_edges:
         return None
@@ -356,7 +419,7 @@ def are_isomorphic(
     n = g.n
     if n == 0:
         return ()
-    cg, ch = _refine_colors_jointly(g, h)
+    cg, ch = _refine_colors_jointly(g, h, dist_g, dist_h)
     if sorted(cg) != sorted(ch):
         return None
 

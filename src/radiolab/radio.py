@@ -24,6 +24,7 @@ import numpy as np
 from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
 from .errors import (
     BadCertificate,
+    BadPermutation,
     ConstructionFailed,
     Disconnected,
     NoGluingIndex,
@@ -153,8 +154,20 @@ class AnalysisVerdict:
 def verify(
     g: Graph, labeling: RadioLabeling, dist: Optional[np.ndarray] = None
 ) -> list[tuple[int, int, int]]:
-    """All violating pairs (u, v, slack); empty list means the labeling is
-    a valid radio labeling.  slack = |f(u)-f(v)| + d(u,v) - (diam+1) < 0."""
+    """All violating pairs (u, v, slack), u < v, sorted by (u, v); an empty
+    list means the labeling is a valid radio labeling.
+    slack = |f(u)-f(v)| + d(u,v) - (diam+1) < 0.
+
+    Labels are distinct, so vertices k places apart in label order differ
+    by at least k in label and at least 1 in distance: only pairs fewer
+    than diam places apart can violate.  The vertices are sorted by label
+    once; then for k = 1..diam-1 every vertex is compared with the one k
+    places later by a numpy gather on ``dist``, O(n) memory per step.
+    Label gaps are taken in Python and capped at diam+1 before numpy sees
+    them (a gap that large satisfies every pair it spans), so labels of
+    any size are fine.  Once every k-step gap reaches diam+1, larger
+    steps cannot violate and the loop stops.
+    """
     if labeling.n != g.n:
         raise ValueError(f"labeling covers {labeling.n} vertices, graph has {g.n}")
     if len(set(labeling.labels)) != g.n:
@@ -164,15 +177,27 @@ def verify(
     diam = diameter(g, dist)  # raises Disconnected
     need = diam + 1
     f = labeling.labels
-    out = []
-    for u in range(g.n):
-        fu = f[u]
-        row = dist[u]
-        for v in range(u + 1, g.n):
-            slack = abs(fu - f[v]) + int(row[v]) - need
-            if slack < 0:
-                out.append((u, v, slack))
-    return out
+    order = sorted(range(g.n), key=f.__getitem__)
+    gaps = [min(f[b] - f[a], need) for a, b in zip(order, order[1:])]
+    reach = np.concatenate(([0], np.cumsum(gaps, dtype=np.int64)))
+    position = np.asarray(order, dtype=np.intp)
+    found = []
+    for k in range(1, min(diam, g.n)):
+        gap = reach[k:] - reach[:-k]
+        if gap.min() >= need:
+            break
+        lo, hi = position[:-k], position[k:]
+        slack = gap + dist[lo, hi] - need
+        bad = slack < 0
+        if bad.any():
+            lo, hi = lo[bad], hi[bad]
+            found.append((np.minimum(lo, hi), np.maximum(lo, hi), slack[bad]))
+    if not found:
+        return []
+    us, vs, slacks = (np.concatenate(parts) for parts in zip(*found))
+    by_pair = np.lexsort((vs, us))
+    return list(zip(us[by_pair].tolist(), vs[by_pair].tolist(),
+                    slacks[by_pair].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +206,17 @@ def verify(
 
 def require_antipodal_path_diameter(
     g: Graph, dist: Optional[np.ndarray] = None
-) -> None:
+) -> int:
     """Raise UnsupportedDiameter unless diam(g) <= 2, or diam(g) = 3 with g
     bipartite: the only cases where a Hamiltonian path of the antipodal
-    graph yields a graceful labeling."""
+    graph yields a graceful labeling.  Returns diam(g)."""
     diam = diameter(g, dist)
     if not (diam <= 2 or (diam == 3 and bipartition(g) is not None)):
         raise UnsupportedDiameter(
             f"antipodal-path labeling proven only for diameter <= 2 or bipartite "
             f"diameter 3; got diameter {diam}"
         )
+    return diam
 
 
 def label_from_antipodal_path(
@@ -199,15 +225,18 @@ def label_from_antipodal_path(
     """Graceful labeling from a Hamiltonian path of the antipodal graph.
 
     Sound exactly when :func:`require_antipodal_path_diameter` holds: the
-    vertex at path position i receives label i+1.
+    vertex at path position i receives label i+1.  The path is checked on
+    ``dist``: consecutive vertices must lie at distance diam(g).
     """
     if dist is None:
         dist = all_pairs_distances(g)
-    require_antipodal_path_diameter(g, dist)
+    diam = require_antipodal_path_diameter(g, dist)
     if cert.kind != "path":
         raise BadCertificate(f"need a path certificate, got {cert.kind!r}")
-    a = antipodal(g, dist)
-    if not verify_certificate(a, cert):
+    if sorted(cert.ordering) != list(range(g.n)):
+        raise BadPermutation("ordering is not a permutation of the vertex set")
+    order = np.asarray(cert.ordering, dtype=np.intp)
+    if (dist[order[:-1], order[1:]] != diam).any():
         raise BadCertificate("ordering is not a Hamiltonian path of the antipodal graph")
     labels = [0] * g.n
     for pos, v in enumerate(cert.ordering):
@@ -325,7 +354,7 @@ def _label_cage(
         raise Disconnected("graph is disconnected")
     if int(dist.max()) != want_diam:
         raise PreconditionFailed(f"diameter is {int(dist.max())}, need {want_diam}")
-    g_girth = girth(g)
+    g_girth = girth(g, dist)
     if g_girth != want_girth:
         raise PreconditionFailed(f"girth is {g_girth}, need {want_girth}")
     a = antipodal(g, dist)

@@ -6,6 +6,7 @@ implementations they check.
 """
 
 import itertools
+import sys
 
 import pytest
 
@@ -29,6 +30,24 @@ def atlas_connected(max_n=7):
             rl.Graph(n, [(mapping[u], mapping[v]) for u, v in G.edges()])
         )
     return out
+
+
+@pytest.fixture
+def distance_matrix_calls(monkeypatch):
+    """The order of every graph whose distance matrix is built during the
+    test, in call order, through any radiolab module."""
+    original = rl.graphcore.all_pairs_distances
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("radiolab") and getattr(module, "all_pairs_distances",
+                                                   None) is original:
+            monkeypatch.setattr(module, "all_pairs_distances", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

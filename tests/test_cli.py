@@ -228,25 +228,29 @@ def test_antipodal_path_checks_diameter_before_searching(tmp_path, capsys,
     ("label", "petersen"), ("label", "heawood"), ("label", "cage38"),
     ("radio-number", "c7"),
 ])
-def test_one_distance_matrix_per_command(tmp_path, capsys, monkeypatch, command, stem):
+def test_one_distance_matrix_per_command(tmp_path, capsys, distance_matrix_calls,
+                                         command, stem):
     family = {"petersen": ["petersen"], "c7": ["cycle", "7"], "cage38": ["cage-3-8"],
               "heawood": ["pg-incidence", "2"]}[stem]
     graph_file = str(tmp_path / f"{stem}.el")
     run(capsys, "construct", *family, "-o", graph_file)
-    original = rl.graphcore.all_pairs_distances
-    calls = []
-
-    def counted(g):
-        calls.append(g.n)
-        return original(g)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("radiolab") and getattr(module, "all_pairs_distances",
-                                                   None) is original:
-            monkeypatch.setattr(module, "all_pairs_distances", counted)
+    distance_matrix_calls.clear()
     code, _, _ = run(capsys, command, graph_file, "-o", str(tmp_path / "out.json"))
     assert code == 0
-    assert len(calls) == 1
+    assert len(distance_matrix_calls) == 1
+
+
+def test_singer_transport_reuses_the_commands_matrix(tmp_path, capsys,
+                                                     distance_matrix_calls):
+    # the command's graph, the Singer graph the recurrence labels, and that
+    # graph once more inside the isomorphism test
+    graph_file = str(tmp_path / "erq3.el")
+    run(capsys, "construct", "erq", "3", "-o", graph_file)
+    distance_matrix_calls.clear()
+    code, _, _ = run(capsys, "label", graph_file, "--method", "singer",
+                     "-o", str(tmp_path / "out.json"))
+    assert code == 0
+    assert distance_matrix_calls == [13, 13, 13]
 
 
 def test_verify_detects_violations(tmp_path, capsys):

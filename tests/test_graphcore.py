@@ -119,6 +119,99 @@ def test_girth_more_cases():
     assert girth(rl.path(6)) is None
 
 
+def reference_girth(g):
+    """Girth by a dict BFS from every root: the first non-tree edge seen
+    from root r closes a cycle of length d(r,u)+d(r,v)+1."""
+    best = None
+    for root in range(g.n):
+        depth = {root: 0}
+        parent = {root: -1}
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            if best is not None and depth[u] * 2 >= best:
+                break
+            for v in g.neighbors(u):
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif v != parent[u]:
+                    cycle = depth[u] + depth[v] + 1
+                    if best is None or cycle < best:
+                        best = cycle
+    return best
+
+
+def girth_corpus(count, seed):
+    """Seeded random graphs on 0..70 vertices: sparse and dense G(n,p),
+    forests with a few extra edges, bipartite graphs (even girth only) and
+    disjoint unions padded with isolated vertices."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(0, 70)
+        kind = i % 4
+        if kind == 0:
+            sparse = rng.choice((0.5, 1.5, 3.0)) / max(n, 1)
+            yield random_graph(n, rng.choice((sparse, rng.uniform(0.05, 0.5))), rng)
+        elif kind == 1:
+            edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9]
+            for _ in range(rng.randint(0, 2) if n > 2 else 0):
+                u, v = rng.sample(range(n), 2)
+                edges.append((min(u, v), max(u, v)))
+            yield Graph(n, edges)
+        elif kind == 2:
+            half = n // 2
+            p = rng.uniform(0.5, 4.0) / max(half, 1)
+            yield Graph(n, [(u, v) for u in range(half) for v in range(half, n)
+                            if rng.random() < p])
+        else:
+            # cycles and paths side by side, the rest isolated vertices
+            edges, offset = [], 0
+            for _ in range(3):
+                size = rng.randint(0, n // 3)
+                closed = size >= 3 and rng.random() < 0.7
+                edges += [(offset + j, offset + (j + 1) % size)
+                          for j in range(size if closed else size - 1)]
+                offset += size
+            yield Graph(n, edges)
+
+
+def test_girth_matches_reference_on_random_graphs():
+    seen = set()
+    for g in girth_corpus(2000, seed=2025):
+        got = girth(g)
+        assert got == reference_girth(g), (g.n, list(g.edges()))
+        seen.add(None if got is None else got % 2)
+        seen.add("disconnected" if g.n and len(components(g)) > 1 else "connected")
+    assert seen == {None, 0, 1, "disconnected", "connected"}
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda q=q: rl.generalized_quadrangle_incidence(q) for q in (2, 3, 4, 5)),
+    lambda: rl.builtin_graph("cage-3-12"),
+    rl.petersen,
+    rl.hoffman_singleton,
+    lambda: rl.cycle(9),
+    lambda: rl.complete(4),
+    lambda: rl.complete_bipartite(2, 3),
+], ids=["W2", "W3", "W4", "W5", "cage-3-12", "petersen", "hoffman-singleton",
+        "C9", "K4", "K2,3"])
+def test_girth_matches_reference_on_families(make):
+    g = make()
+    dist = all_pairs_distances(g)
+    assert girth(g, dist) == girth(g) == reference_girth(g)
+
+
+def test_quadrangle_build_computes_one_distance_matrix(distance_matrix_calls):
+    for q in (2, 3, 4):
+        distance_matrix_calls.clear()
+        g = rl.generalized_quadrangle_incidence(q)
+        assert distance_matrix_calls == [g.n]
+
+
 def test_antipodal_c6_is_perfect_matching():
     a = antipodal(rl.cycle(6))
     assert sorted(a.edges()) == [(0, 3), (1, 4), (2, 5)]

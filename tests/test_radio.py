@@ -11,6 +11,7 @@ from radiolab import (
     TIMEOUT,
     UNKNOWN,
     BadCertificate,
+    BadPermutation,
     Disconnected,
     Graph,
     NotInjective,
@@ -67,6 +68,91 @@ def test_verify_requires_connected():
         verify(Graph(4, [(0, 1), (2, 3)]), RadioLabeling((1, 2, 3, 4)))
 
 
+def reference_verify(g, labeling):
+    """Every pair by a double loop over the vertex indices."""
+    dist = all_pairs_distances(g)
+    need = int(dist.max()) + 1
+    f = labeling.labels
+    out = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            slack = abs(f[u] - f[v]) + int(dist[u, v]) - need
+            if slack < 0:
+                out.append((u, v, slack))
+    return out
+
+
+def swap_nearest_labels(g, labels):
+    """A labeling with two labels swapped: the vertex u with the nearest
+    other label keeps its label, and its smallest neighbour trades labels
+    with the holder of that nearest label."""
+    f = list(labels)
+    order = sorted(range(g.n), key=f.__getitem__)
+    i = min(range(g.n - 1), key=lambda i: f[order[i + 1]] - f[order[i]])
+    u, w = order[i], order[i + 1]
+    v = min(g.neighbors(u) - {w})
+    f[v], f[w] = f[w], f[v]
+    return RadioLabeling(tuple(f))
+
+
+def verify_matches_reference(g, labeling):
+    got = verify(g, labeling)
+    assert got == reference_verify(g, labeling)
+    assert all(type(x) is int for pair in got for x in pair)
+    return got
+
+
+def test_verify_matches_reference_on_random_labelings():
+    rng = random.Random(4242)
+    violating = 0
+    for _ in range(400):
+        n = rng.randint(3, 40)
+        g = random_connected_graph(n, rng.uniform(0.05, 0.5), rng)
+        labels = rng.sample(range(1, n + rng.randint(1, 2 * n) + 1), n)
+        violating += bool(verify_matches_reference(g, RadioLabeling(tuple(labels))))
+    assert violating > 300
+
+
+@pytest.mark.parametrize("make", [
+    rl.petersen,
+    lambda: rl.projective_plane_incidence(3),
+    lambda: rl.erdos_renyi_polarity(5),
+    lambda: rl.mms_graph(5),
+    lambda: rl.cycle(7),
+], ids=["petersen", "pg-3", "erq-5", "mms-5", "C7"])
+def test_verify_matches_reference_on_swapped_labelings(make):
+    g = make()
+    _, labeling = rl.settle(g)
+    assert verify_matches_reference(g, labeling) == []
+    assert verify_matches_reference(g, swap_nearest_labels(g, labeling.labels))
+
+
+@pytest.mark.parametrize("g", [rl.path(70), rl.cycle(140)], ids=["P70", "C140"])
+def test_verify_matches_reference_at_large_diameter(g):
+    rng = random.Random(g.n)
+    for spread in (1, 2, 10, 100):
+        labels = rng.sample(range(1, spread * g.n + 1), g.n)
+        verify_matches_reference(g, RadioLabeling(tuple(labels)))
+
+
+def test_verify_matches_reference_on_tiny_and_complete_graphs():
+    assert verify_matches_reference(Graph(1, []), RadioLabeling((5,))) == []
+    assert verify_matches_reference(rl.path(2), RadioLabeling((2, 1))) == []
+    assert verify_matches_reference(rl.path(3), RadioLabeling((1, 2, 3))) == [
+        (0, 1, -1), (1, 2, -1)]
+    for n in (3, 6, 11):
+        labels = tuple(random.Random(n).sample(range(1, n + 1), n))
+        assert verify_matches_reference(rl.complete(n), RadioLabeling(labels)) == []
+
+
+def test_verify_accepts_labels_beyond_64_bits():
+    g = rl.cycle(7)  # diameter 3
+    big = 10**30
+    labels = (1, big, 2, big + 2, 3, 7, big - 1)
+    got = verify_matches_reference(g, RadioLabeling(labels))
+    assert got == [(0, 2, -1), (1, 6, -1), (2, 4, -1)]
+
+
 def test_labeling_requires_positive_labels():
     with pytest.raises(ValueError):
         RadioLabeling((0, 1, 2))
@@ -113,6 +199,18 @@ def test_label_from_antipodal_path_rejects_bad_certificate():
     g = rl.petersen()
     with pytest.raises(BadCertificate):
         label_from_antipodal_path(g, PathCertificate(tuple(range(10)), "path"))
+
+
+def test_label_from_antipodal_path_rejects_non_permutation():
+    g = rl.petersen()
+    cert = find_hamiltonian_path(antipodal(g))
+    repeated = cert.ordering[:-1] + cert.ordering[:1]
+    with pytest.raises(BadPermutation):
+        label_from_antipodal_path(g, PathCertificate(repeated, "path"))
+    with pytest.raises(BadPermutation):
+        label_from_antipodal_path(g, PathCertificate(cert.ordering[:-1], "path"))
+    with pytest.raises(BadCertificate):
+        label_from_antipodal_path(g, PathCertificate(cert.ordering, "cycle_power", 2))
 
 
 # ---------------------------------------------------------------------------
