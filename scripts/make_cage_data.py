@@ -3,8 +3,9 @@
 
 The girth-8 cages ship in a vertex numbering aligned with the bundled
 benchmark cycle sequences: we build the symplectic quadrangle incidence
-graph, find a square of a Hamiltonian cycle in each antipodal component,
-and relabel so that the stored sequences trace exactly those cycles.
+graph, check a fixed square of a Hamiltonian cycle in each antipodal
+component, and relabel so that the stored sequences trace exactly those
+cycles.
 The girth-12 cage is expanded from its LCF notation and validated against
 the defining parameters (126 vertices, 3-regular, girth 12, diameter 6).
 
@@ -27,7 +28,7 @@ from radiolab.graphcore import (
     girth,
     regularity,
 )
-from radiolab.hamsearch import PathCertificate, find_cycle_power, verify_certificate
+from radiolab.hamsearch import PathCertificate, verify_certificate
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "radiolab" / "data"
 
@@ -47,13 +48,31 @@ SEQ_4_8_LINES = [
     68, 78, 73, 74, 40,
 ]
 
+# The squares of Hamiltonian cycles that the numbering follows, in indices
+# local to each antipodal component of the symplectic quadrangle incidence
+# graph (as ``components`` orders them).  They are the witnesses the
+# original recursive cycle-power search returned, kept here so the bundled
+# numbering does not depend on any search.
+WITNESS_3_8_POINTS = [0, 1, 2, 4, 5, 6, 7, 14, 13, 12, 3, 8, 11, 9, 10]
+WITNESS_3_8_LINES = [0, 4, 8, 10, 1, 3, 14, 7, 5, 11, 6, 2, 9, 13, 12]
+WITNESS_4_8_POINTS = [
+    0, 1, 2, 3, 5, 7, 8, 6, 9, 10, 12, 11, 13, 22, 4, 14, 16, 17, 15, 18,
+    19, 21, 20, 24, 26, 25, 23, 27, 28, 31, 29, 30, 33, 34, 35, 32, 36, 37,
+    39, 38,
+]
+WITNESS_4_8_LINES = [
+    0, 5, 10, 3, 4, 9, 2, 7, 8, 1, 6, 11, 12, 17, 19, 15, 16, 21, 24, 14,
+    18, 20, 13, 22, 27, 29, 32, 25, 23, 30, 31, 39, 35, 26, 37, 36, 28, 38,
+    33, 34,
+]
+
 TUTTE_12_LCF = [
     17, 27, -13, -59, -35, 35, -11, 13, -53, 53, -27, 21, 57, 11, -21, -57,
     59, -17,
 ]
 
 
-def relabeled_quadrangle_cage(q, point_seq, line_seq):
+def relabeled_quadrangle_cage(q, point_seq, line_seq, witnesses):
     g = generalized_quadrangle_incidence(q)
     m = g.n // 2
     a = antipodal(g)
@@ -61,10 +80,11 @@ def relabeled_quadrangle_cage(q, point_seq, line_seq):
     assert point_comp == list(range(m)) and line_comp == list(range(m, 2 * m))
 
     mapping = [None] * g.n
-    for vertices, seq in ((point_comp, point_seq), (line_comp, line_seq)):
+    for vertices, seq, witness in zip((point_comp, line_comp), (point_seq, line_seq),
+                                      witnesses):
         sub = a.induced_subgraph(vertices)
-        found = find_cycle_power(sub, 2)
-        assert isinstance(found, PathCertificate), f"no cycle square for q={q}"
+        found = PathCertificate(tuple(witness), "cycle_power", 2)
+        assert verify_certificate(sub, found), f"witness is no cycle square for q={q}"
         for pos, local in enumerate(found.ordering):
             mapping[vertices[local]] = seq[pos]
     relabeled = Graph(g.n, [(mapping[u], mapping[v]) for u, v in g.edges()])
@@ -100,8 +120,11 @@ def write(name, text):
 
 
 def main():
-    for q, pts, lns in ((2, SEQ_3_8_POINTS, SEQ_3_8_LINES), (3, SEQ_4_8_POINTS, SEQ_4_8_LINES)):
-        g = relabeled_quadrangle_cage(q, pts, lns)
+    for q, pts, lns, witnesses in (
+        (2, SEQ_3_8_POINTS, SEQ_3_8_LINES, (WITNESS_3_8_POINTS, WITNESS_3_8_LINES)),
+        (3, SEQ_4_8_POINTS, SEQ_4_8_LINES, (WITNESS_4_8_POINTS, WITNESS_4_8_LINES)),
+    ):
+        g = relabeled_quadrangle_cage(q, pts, lns, witnesses)
         m = g.n // 2
         header = [
             f"({q + 1},8)-cage: incidence graph of the generalized quadrangle of order {q}",

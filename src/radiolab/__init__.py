@@ -3,7 +3,7 @@
 The package builds the classic low-diameter graph families (Moore graphs,
 incidence graphs of generalized polygons, polarity and related difference-set
 graphs), decides radio gracefulness with certified verdicts, constructs
-minimum-span radio labelings for the girth-8 cages, and cross-checks
+minimum-span radio labelings for the girth-8 and girth-12 cages, and cross-checks
 everything against an exact branch-and-bound oracle at small scale.
 """
 
@@ -15,7 +15,6 @@ from .errors import (
     ConstructionFailed,
     Disconnected,
     LoopError,
-    NoGluingIndex,
     NotInjective,
     NotPrimePower,
     ParseError,

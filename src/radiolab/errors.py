@@ -57,10 +57,6 @@ class PreconditionFailed(RadioLabError):
     """Input graph does not match the shape a labeler requires."""
 
 
-class NoGluingIndex(RadioLabError):
-    """No rotation point joins the two part labelings."""
-
-
 class ConstructionFailed(RadioLabError):
     """Every parameter choice of a labeling construction failed."""
 

@@ -4,8 +4,10 @@ powers of Hamiltonian cycles, plus arithmetic sufficient-condition checks.
 The searches are complete: ``None`` is returned only after the whole
 search space has been exhausted, so callers may treat it as a proof of
 non-existence.  An exhausted node budget yields :data:`TIMEOUT` instead.
-Results are deterministic: start vertices and neighbor candidates are
-always tried in increasing (degree, index) order.
+Results are deterministic: the Hamiltonian-path search tries vertices in
+increasing (degree, index) order, and the window-ordering search behind
+cycle powers and the cage labelings tries fewest onward candidates first,
+ties by index.
 """
 
 from __future__ import annotations
@@ -48,15 +50,10 @@ def verify_certificate(g: Graph, cert: PathCertificate) -> bool:
     if cert.kind == "path":
         return all(g.is_edge(order[i], order[i + 1]) for i in range(n - 1))
     if cert.kind == "cycle_power":
-        if n < 3:
-            return False
-        pairs = set()
-        for i in range(n):
-            for d in range(1, cert.power + 1):
-                j = (i + d) % n
-                if i != j:
-                    pairs.add((min(i, j), max(i, j)))
-        return all(g.is_edge(order[i], order[j]) for i, j in pairs)
+        return n >= 3 and all(
+            g.is_edge(order[i], order[(i + d) % n])
+            for i in range(n) for d in range(1, min(cert.power, n - 1) + 1)
+        )
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
 
@@ -71,8 +68,10 @@ def _rotation_extension_path(g: Graph) -> list[int] | None:
     n = g.n
     if n == 0:
         return []
-    key = lambda v: (g.degree(v), v)
-    start = min(range(n), key=key)
+    # vertices ranked by (degree, index) once per search
+    by_rank = sorted(range(n), key=g.degrees().__getitem__)
+    key = {v: i for i, v in enumerate(by_rank)}.__getitem__
+    start = by_rank[0]
     path = [start]
     on_path = [False] * n
     on_path[start] = True
@@ -238,15 +237,80 @@ def dirac_hamiltonian_path(g: Graph) -> PathCertificate:
 # powers of Hamiltonian cycles
 
 
+def _bits(x: int) -> list[int]:
+    """Indices of the set bits of x, in increasing order."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
+    """Distinct vertices for positions 0..len(allowed)-1: the one at k lies
+    in ``allowed[k]`` and in ``rows[t][order[j]]`` for every ``(j, t)`` in
+    ``constraints[k]`` (j < k); all sets are Python-int bitsets.
+
+    Candidates go fewest onward candidates (the next position's candidate
+    set once they are placed) first, ties by index; one that leaves the
+    next position empty is skipped.  An explicit stack, one node charged
+    per placement.  Returns the ordering or None (search space exhausted);
+    raises BudgetExhausted.
+    """
+    size = len(allowed)
+    order: list[int] = []
+    free = -1  # every bit set: nothing placed yet
+
+    def ranked(k: int) -> list[int]:
+        cand = allowed[k] & free
+        for j, t in constraints[k]:
+            cand &= rows[t][order[j]]
+        if k + 1 == size:
+            return _bits(cand)
+        base = allowed[k + 1] & free
+        links = [rows[t] for j, t in constraints[k + 1] if j == k]
+        for j, t in constraints[k + 1]:
+            if j < k:
+                base &= rows[t][order[j]]
+        scored = []
+        for c in _bits(cand):
+            onward = base & ~(1 << c)
+            for table in links:
+                onward &= table[c]
+            if onward:
+                scored.append((onward.bit_count(), c))
+        scored.sort()
+        return [c for _, c in scored]
+
+    frames = [iter(ranked(0))]
+    while frames:
+        c = next(frames[-1], None)
+        if c is None:
+            frames.pop()
+            if order:
+                free |= 1 << order.pop()
+            continue
+        if not budget.charge():
+            raise BudgetExhausted
+        order.append(c)
+        free &= ~(1 << c)
+        if len(order) == size:
+            return order
+        frames.append(iter(ranked(len(order))))
+    return None
+
+
 def find_cycle_power(
     g: Graph, power: int, deadline: int | SearchBudget | None = None
 ):
     """The power-th power of a Hamiltonian cycle, None, or TIMEOUT.
 
-    Candidates must be adjacent to the previous min(power, placed) vertices;
-    the wrap-around constraints against the first ``power`` positions are
-    checked on completion.  Position 0 is pinned to the minimum-degree
-    vertex, which loses no generality for a cycle.
+    A cyclic window search over the adjacency rows: the vertex at
+    position k must be adjacent to every vertex at cyclic index distance
+    at most ``power`` among positions 0..k-1, wrap-around pairs included.
+    Position 0 is pinned to the minimum-(degree, index) vertex, which
+    loses no generality for a cycle.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
@@ -259,48 +323,23 @@ def find_cycle_power(
     if len(components(g)) > 1:
         return None
 
-    budget = as_budget(deadline)
-    key = lambda v: (g.degree(v), v)
-    start = min(range(n), key=key)
-    placed = [start]
-    used = [False] * n
-    used[start] = True
-
-    wrap_pairs = []
-    for a in range(1, power + 1):
-        for b in range(power + 1 - a):
-            if (n - a) % n != b:
-                wrap_pairs.append((n - a, b))
-
-    def wrap_ok() -> bool:
-        return all(g.is_edge(placed[i], placed[j]) for i, j in wrap_pairs)
-
-    def dfs() -> bool:
-        if not budget.charge():
-            raise BudgetExhausted
-        if len(placed) == n:
-            return wrap_ok()
-        recent = placed[-min(power, len(placed)) :]
-        candidates = set(g.neighbors(recent[0]))
-        for r in recent[1:]:
-            candidates &= g.neighbors(r)
-        for w in sorted(candidates, key=key):
-            if used[w]:
-                continue
-            placed.append(w)
-            used[w] = True
-            if dfs():
-                return True
-            placed.pop()
-            used[w] = False
-        return False
-
+    start = min(range(n), key=lambda v: (g.degree(v), v))
+    adjacency = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    # the window of the last ``power`` positions, then the wrap-around
+    # pairs (j, k) with n - k + j <= power not already in that window
+    constraints = [
+        [(j, 0) for j in range(max(0, k - power), k)]
+        + [(j, 0) for j in range(min(k + power - n + 1, k - power))]
+        for k in range(n)
+    ]
+    allowed = [1 << start] + [(1 << n) - 1] * (n - 1)
     try:
-        if dfs():
-            return PathCertificate(tuple(placed), "cycle_power", power)
+        order = _window_ordering([adjacency], constraints, allowed, as_budget(deadline))
     except BudgetExhausted:
         return TIMEOUT
-    return None
+    if order is None:
+        return None
+    return PathCertificate(tuple(order), "cycle_power", power)
 
 
 # ---------------------------------------------------------------------------

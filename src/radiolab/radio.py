@@ -27,7 +27,6 @@ from .errors import (
     BadPermutation,
     ConstructionFailed,
     Disconnected,
-    NoGluingIndex,
     NotInjective,
     PreconditionFailed,
     TooLarge,
@@ -48,8 +47,8 @@ from .graphcore import (
 )
 from .hamsearch import (
     PathCertificate,
+    _window_ordering,
     dirac_hamiltonian_path,
-    find_cycle_power,
     find_hamiltonian_path,
     verify_certificate,
 )
@@ -256,93 +255,38 @@ def _cage_parts(g: Graph) -> tuple[list[int], list[int]]:
     return side0, side1
 
 
-def _component_cycle(
-    sub: Graph,
-    vertices: list[int],
-    power: int,
-    budget: SearchBudget,
-    supplied: Optional[Sequence[int]],
-):
-    """Cycle-power ordering for one antipodal component, in global vertex
-    ids; either validates a supplied ordering or searches for one."""
-    if supplied is not None:
-        seq = list(supplied)
-        if len(seq) > 1 and seq[0] == seq[-1]:
-            seq = seq[:-1]
-        index = {v: i for i, v in enumerate(vertices)}
-        try:
-            local = [index[v] for v in seq]
-        except KeyError as exc:
-            raise BadCertificate(f"vertex {exc} not in this component") from None
-        cert = PathCertificate(tuple(local), "cycle_power", power)
-        if not verify_certificate(sub, cert):
-            raise BadCertificate("supplied ordering is not a valid cycle power")
-        return seq
-    result = find_cycle_power(sub, power, budget)
-    if result is TIMEOUT:
-        return TIMEOUT
-    if result is None:
-        raise ConstructionFailed(
-            f"component has no {power}-th power of a Hamiltonian cycle"
-        )
-    return [vertices[i] for i in result.ordering]
+def _supplied_cycle(a: Graph, vertices: list[int], power: int, supplied):
+    """A supplied cycle power of the antipodal component ``vertices`` of
+    ``a``, checked by :func:`verify_certificate`; closing repeat dropped."""
+    seq = list(supplied)
+    if len(seq) > 1 and seq[0] == seq[-1]:
+        seq = seq[:-1]
+    index = {v: i for i, v in enumerate(vertices)}
+    try:
+        local = [index[v] for v in seq]
+    except KeyError as exc:
+        raise BadCertificate(f"vertex {exc} not in this component") from None
+    cert = PathCertificate(tuple(local), "cycle_power", power)
+    if not verify_certificate(a.induced_subgraph(vertices), cert):
+        raise BadCertificate("supplied ordering is not a valid cycle power")
+    return seq
 
 
-def _label_glued_cage(
-    g: Graph,
-    dist: np.ndarray,
-    power: int,
-    point_order: list[int],
-    line_order: list[int],
-    glue_window: int,
-):
-    """Point/line cycle orders -> the rotated gluing table.
-
-    Points get 1..m in cycle order; lines get m+2..2m+1 starting from the
-    rotation point t.  t is the smallest index such that labels m+2..m+1+k
-    next to the last points keep every pair at the distance its label gap
-    requires: for offsets a >= 0 (line side) and b >= 1 (point side) with
-    a + b <= glue_window, d(line[t+a], point[m-b]) must be at least
-    glue_window + 2 - (a + b).
-    """
-    m = len(point_order)
-    conditions = [
-        (a, b, glue_window + 2 - (a + b))
-        for a in range(glue_window)
-        for b in range(1, glue_window + 1 - a)
-    ]
-    chosen = None
-    for t in range(m - glue_window):
-        if all(
-            dist[line_order[t + a], point_order[m - b]] >= need
-            for a, b, need in conditions
-        ):
-            chosen = t
-            break
-    if chosen is None:
-        raise NoGluingIndex("no rotation point satisfies the gluing distances")
-    labels = [0] * g.n
-    for i, v in enumerate(point_order):
-        labels[v] = i + 1
-    rotated = line_order[chosen:] + line_order[:chosen]
-    for i, v in enumerate(rotated):
-        labels[v] = m + 2 + i
-    labeling = RadioLabeling(tuple(labels))
-    if verify(g, labeling, dist):
-        raise AssertionError("glued cage labeling failed verification")
-    return labeling
+def _bit_rows(mask: np.ndarray) -> list[int]:
+    """Row v of a boolean matrix as a Python-int bitset (bit w = column w)."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _label_cage(
-    g: Graph,
-    deadline,
-    power: int,
-    want_diam: int,
-    want_girth: int,
-    point_cycle,
-    line_cycle,
-    dist: Optional[np.ndarray],
-):
+def _label_cage(g: Graph, deadline, diam: int, want_girth: int, point_cycle,
+                line_cycle, dist: Optional[np.ndarray]):
+    """Span-(2m+1) labeling of a cage whose antipodal components are its
+    parts: points get labels 1..m and lines m+2..2m+1, in the order one
+    exact window search finds.  Position k needs distance >= diam+1-g to
+    each earlier position whose label is g < diam below its own, the pairs
+    across the skipped label m+1 included.  A supplied point cycle pins the
+    points; a supplied line cycle makes each line the cycle successor of
+    the previous one, so the search picks the rotation point."""
     side0, side1 = _cage_parts(g)
     if len(side0) != len(side1):
         raise PreconditionFailed("parts have different sizes")
@@ -352,27 +296,46 @@ def _label_cage(
         dist = all_pairs_distances(g)
     if (dist == UNREACHABLE).any():
         raise Disconnected("graph is disconnected")
-    if int(dist.max()) != want_diam:
-        raise PreconditionFailed(f"diameter is {int(dist.max())}, need {want_diam}")
+    if int(dist.max()) != diam:
+        raise PreconditionFailed(f"diameter is {int(dist.max())}, need {diam}")
     g_girth = girth(g, dist)
     if g_girth != want_girth:
         raise PreconditionFailed(f"girth is {g_girth}, need {want_girth}")
     a = antipodal(g, dist)
-    comps = components(a)
-    if len(comps) != 2 or sorted(map(tuple, comps)) != sorted(
-        [tuple(side0), tuple(side1)]
-    ):
+    if sorted(components(a)) != sorted([side0, side1]):
         raise PreconditionFailed("antipodal components do not match the two parts")
 
-    budget = as_budget(deadline)
-    orders = []
-    for vertices, supplied in ((side0, point_cycle), (side1, line_cycle)):
-        sub = a.induced_subgraph(vertices)
-        order = _component_cycle(sub, vertices, power, budget, supplied)
-        if order is TIMEOUT:
-            return TIMEOUT
-        orders.append(order)
-    return _label_glued_cage(g, dist, power, orders[0], orders[1], power)
+    m = len(side0)
+    rows = {t: _bit_rows(dist >= t) for t in range(2, diam + 1)}
+    points, lines = (sum(1 << v for v in side) for side in (side0, side1))
+    allowed = [points] * m + [lines] * m
+    label = list(range(1, m + 1)) + list(range(m + 2, 2 * m + 2))
+    constraints = [[(j, diam + 1 - label[k] + label[j])
+                    for j in range(max(0, k - diam), k) if label[k] - label[j] < diam]
+                   for k in range(2 * m)]
+    if point_cycle is not None:
+        seq = _supplied_cycle(a, side0, diam - 2, point_cycle)
+        allowed[:m] = [1 << v for v in seq]
+    if line_cycle is not None:
+        seq = _supplied_cycle(a, side1, diam - 2, line_cycle)
+        successor = [0] * g.n
+        for v, w in zip(seq, seq[1:] + seq[:1]):
+            successor[v] = 1 << w
+        rows["next"] = successor
+        for k in range(m + 1, 2 * m):
+            constraints[k].append((k - 1, "next"))
+
+    try:
+        order = _window_ordering(rows, constraints, allowed, as_budget(deadline))
+    except BudgetExhausted:
+        return TIMEOUT
+    if order is None:
+        raise ConstructionFailed("no span-(2m+1) ordering of points then lines")
+    # order is a permutation of the vertices: sorted by vertex, its labels
+    labeling = RadioLabeling(tuple(f for _, f in sorted(zip(order, label))))
+    if verify(g, labeling, dist):
+        raise AssertionError("cage labeling failed verification")
+    return labeling
 
 
 def label_quadrangle_cage(
@@ -384,12 +347,13 @@ def label_quadrangle_cage(
 ):
     """Span-(2m+1) radio labeling of a (q+1,8)-cage (m = vertices per part).
 
-    Finds (or takes) squares of Hamiltonian cycles in the two antipodal
-    components, then glues their consecutive labelings at the smallest
-    valid rotation point.  Returns TIMEOUT if a component search exhausts
-    the node budget.
+    One exact window search orders the points (labels 1..m), then the
+    lines (labels m+2..2m+1), so that every pair fewer than 4 labels
+    apart lies at the distance its label gap needs.  Supplied squares of
+    Hamiltonian cycles of the antipodal components are checked, then pin
+    the search.  Returns TIMEOUT when the node budget runs out first.
     """
-    return _label_cage(g, deadline, 2, 4, 8, point_cycle, line_cycle, dist)
+    return _label_cage(g, deadline, 4, 8, point_cycle, line_cycle, dist)
 
 
 def label_hexagon_cage(
@@ -399,13 +363,13 @@ def label_hexagon_cage(
     line_cycle: Optional[Sequence[int]] = None,
     dist: Optional[np.ndarray] = None,
 ):
-    """Span-(2m+1) radio labeling of a (q+1,12)-cage, if the bounded search
-    finds 4-th powers of Hamiltonian cycles in both antipodal components.
-
-    TIMEOUT is an expected outcome at small q: the minimum-degree guarantee
-    for the needed cycle powers only kicks in far above desk scale.
+    """Span-(2m+1) radio labeling of a (q+1,12)-cage, by the same exact
+    window search as :func:`label_quadrangle_cage` with a window of 5
+    labels; supplied cycles are 4th powers of Hamiltonian cycles of the
+    antipodal components.  Returns TIMEOUT when the node budget runs out
+    first.
     """
-    return _label_cage(g, deadline, 4, 6, 12, point_cycle, line_cycle, dist)
+    return _label_cage(g, deadline, 6, 12, point_cycle, line_cycle, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +724,7 @@ def settle(
     A graceful verdict is closed already.  Otherwise, up to the oracle's
     vertex limit the exact rn closes both bounds and decides an Unknown
     verdict (rule ``exact-oracle``); above it, a non-graceful girth-8 cage
-    gets the glued labeling as its upper bound.  The labeling is a
+    gets the window-search labeling as its upper bound.  The labeling is a
     RadioLabeling, TIMEOUT (the oracle or the cage search ran out of the
     one node budget that all three share; the verdict is analyze's) or None.
     """

@@ -196,10 +196,7 @@ def test_criterion_10_girth12_desk_scale_honesty():
     assert verdict.rn_lower == 127
     assert isinstance(verdict.certificate, Obstruction)
     outcome = rl.label_hexagon_cage(g, deadline=200_000)
-    if outcome is TIMEOUT:
-        report(10, "12-cage obstructed (rn >= 127); labeling search hit its budget")
-    else:
-        assert isinstance(outcome, RadioLabeling)
-        assert outcome.span == 127
-        assert rl.verify(g, outcome) == []
-        report(10, "12-cage obstructed (rn >= 127); span-127 labeling found")
+    assert isinstance(outcome, RadioLabeling)
+    assert outcome.span == 127
+    assert rl.verify(g, outcome) == []
+    report(10, "12-cage obstructed (rn >= 127); span-127 labeling closes rn = 127")

@@ -134,6 +134,16 @@ def test_cycle_power_explicit_square():
     assert verify_certificate(g, cert)
 
 
+def test_cycle_power_long_square_has_no_recursion_limit():
+    # one placement per vertex on an explicit stack: 1200 positions used
+    # to overflow the interpreter's recursion limit
+    n = 1200
+    g = Graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+    cert = find_cycle_power(g, 2, deadline=10**5)
+    assert isinstance(cert, PathCertificate)
+    assert verify_certificate(g, cert)
+
+
 def test_verify_certificate_reversal_and_corruption():
     g = rl.cycle(6)
     cert = PathCertificate((0, 1, 2, 3, 4, 5), "cycle_power", 1)

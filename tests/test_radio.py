@@ -214,7 +214,7 @@ def test_label_from_antipodal_path_rejects_non_permutation():
 
 
 # ---------------------------------------------------------------------------
-# cage gluing labelings
+# cage window-search labelings
 
 
 def test_quadrangle_cage_q2():
@@ -280,12 +280,43 @@ def test_quadrangle_cage_timeout():
 
 
 def test_hexagon_cage_timeout_or_labeling():
+    # the window search finds the span-127 labeling well inside the budget
     g = rl.builtin_graph("cage-3-12")
     out = label_hexagon_cage(g, deadline=20_000)
-    if out is not TIMEOUT:
-        assert isinstance(out, RadioLabeling)
-        assert out.span == 127
-        assert verify(g, out) == []
+    assert isinstance(out, RadioLabeling)
+    assert out.span == 127
+    assert verify(g, out) == []
+
+
+# every node places one vertex: n nodes means no backtracking at all
+@pytest.mark.parametrize("case, nodes", [
+    ("w-2", 35), ("w-3", 80), ("w-4", 170), ("w-5", 312), ("w-7", 800),
+    ("w-8", 1170), ("cage-4-8", 80), ("cage-3-12", 365),
+])
+def test_cage_window_search_reaches_rn(case, nodes):
+    if case.startswith("w-"):
+        g = rl.generalized_quadrangle_incidence(int(case[2:]))
+        label = label_quadrangle_cage
+    else:
+        g = rl.builtin_graph(case)
+        label = label_hexagon_cage if case == "cage-3-12" else label_quadrangle_cage
+    budget = SearchBudget(10**6)
+    lab = label(g, budget)
+    assert isinstance(lab, RadioLabeling)
+    assert lab.span == g.n + 1  # the bipartite-even-diameter bound, so rn
+    assert verify(g, lab) == []
+    assert budget.spent == nodes <= 3 * g.n
+
+
+def test_cage_supplied_cycles_pin_the_search():
+    # fixed point and line orders leave one choice: the rotation point
+    g = rl.builtin_graph("cage-4-8")
+    budget = SearchBudget(10**6)
+    lab = label_quadrangle_cage(
+        g, budget, point_cycle=rl.builtin_sequence("cage-4-8-points"),
+        line_cycle=rl.builtin_sequence("cage-4-8-lines"))
+    assert lab.span == 81 and verify(g, lab) == []
+    assert budget.spent == g.n
 
 
 def test_hexagon_cage_rejects_non_bipartite():
@@ -569,7 +600,7 @@ def test_analyze_unknown_on_budget_exhaustion():
 
 
 def test_settle_closes_the_girth_8_cage():
-    # analyze leaves rn open above; the glued labeling closes it at |V|+1
+    # analyze leaves rn open above; the cage labeling closes it at |V|+1
     g = rl.builtin_graph("cage-3-8")
     assert analyze(g).rn_upper is None
     v, lab = rl.settle(g)
@@ -595,7 +626,7 @@ def test_settle_small_graphs_use_the_oracle():
     v, lab = rl.settle(rl.cycle(7))
     assert (v.status, v.rule) == (NOT_RADIO_GRACEFUL, "exact-oracle")
     assert v.rn_lower == v.rn_upper == lab.span == 10
-    # C8 passes the bipartite girth-8 checks but not the cage gluing's;
+    # C8 passes the bipartite girth-8 checks but not the cage labeling's;
     # the oracle settles it first
     v, lab = rl.settle(rl.cycle(8))
     assert (v.status, v.rule) == (NOT_RADIO_GRACEFUL, "bipartite-even-diameter")
