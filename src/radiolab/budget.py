@@ -63,10 +63,6 @@ class SearchBudget:
         self.remaining -= nodes
         return self.remaining >= 0
 
-    @property
-    def exhausted(self) -> bool:
-        return self.remaining < 0
-
 
 def as_budget(deadline: int | SearchBudget | None) -> SearchBudget:
     """Coerce an int node count (or None for the default) to a SearchBudget."""

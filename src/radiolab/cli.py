@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import families
-from .budget import TIMEOUT, default_node_budget
+from .budget import TIMEOUT
 from .errors import BadParams, RadioLabError
 from .graphcore import (
     Graph,
@@ -391,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        args.budget = default_node_budget()
     try:
         return args.func(args)
     except (RadioLabError, ValueError, OSError) as exc:

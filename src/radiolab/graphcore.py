@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
+from .budget import TIMEOUT, SearchBudget, as_budget
 from .errors import Disconnected
 
 __all__ = [
@@ -431,12 +431,10 @@ def are_isomorphic(
     mapping: list[int] = [-1] * n
     used = [False] * n
 
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
+    def candidates(pos: int):
+        # the images for order[pos] that keep adjacency and non-adjacency
+        # with every vertex mapped so far, read lazily as the search moves on
         x = order[pos]
-        if not budget.charge():
-            raise BudgetExhausted
         for y in by_color[cg[x]]:
             if used[y]:
                 continue
@@ -453,17 +451,28 @@ def are_isomorphic(
                     if not g.is_edge(x, x2) and h.is_edge(y, mapping[x2]):
                         ok = False
                         break
-            if not ok:
-                continue
-            mapping[x] = y
-            used[y] = True
-            if extend(pos + 1):
-                return True
-            mapping[x] = -1
-            used[y] = False
-        return False
+            if ok:
+                yield y
 
-    try:
-        return tuple(mapping) if extend(0) else None
-    except BudgetExhausted:
+    # an explicit stack of candidate iterators, one per mapped position;
+    # one node charged per position entered
+    if not budget.charge():
         return TIMEOUT
+    frames = [candidates(0)]
+    while frames:
+        x = order[len(frames) - 1]
+        if mapping[x] >= 0:
+            used[mapping[x]] = False
+            mapping[x] = -1
+        y = next(frames[-1], None)
+        if y is None:
+            frames.pop()
+            continue
+        mapping[x] = y
+        used[y] = True
+        if len(frames) == n:
+            return tuple(mapping)
+        if not budget.charge():
+            return TIMEOUT
+        frames.append(candidates(len(frames)))
+    return None

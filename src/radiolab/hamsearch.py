@@ -4,10 +4,10 @@ powers of Hamiltonian cycles, plus arithmetic sufficient-condition checks.
 The searches are complete: ``None`` is returned only after the whole
 search space has been exhausted, so callers may treat it as a proof of
 non-existence.  An exhausted node budget yields :data:`TIMEOUT` instead.
-Results are deterministic: the Hamiltonian-path search tries vertices in
-increasing (degree, index) order, and the window-ordering search behind
-cycle powers and the cage labelings tries fewest onward candidates first,
-ties by index.
+One exact window-ordering search stands behind Hamiltonian paths (after a
+constructive rotation-extension attempt), cycle powers and the cage
+labelings.  Results are deterministic: it tries fewest onward candidates
+first, ties by index.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
 from .errors import BadPermutation, PreconditionFailed
-from .graphcore import Graph, bipartition, components, regularity
+from .graphcore import Graph, bipartition, regularity
 
 __all__ = [
     "PathCertificate",
@@ -55,6 +55,109 @@ def verify_certificate(g: Graph, cert: PathCertificate) -> bool:
             for i in range(n) for d in range(1, min(cert.power, n - 1) + 1)
         )
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# the window-ordering search
+
+
+def _bits(x: int) -> list[int]:
+    """Indices of the set bits of x, in increasing order."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _connected(mask: int, table: list[int]) -> bool:
+    """Whether the vertices of ``mask`` induce a connected subgraph of the
+    symmetric relation ``table``: a breadth-first search on bitsets."""
+    seen = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= table[v]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
+def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
+    """Distinct vertices for positions 0..len(allowed)-1: the one at k lies
+    in ``allowed[k]`` and in ``rows[t][order[j]]`` for every ``(j, t)`` in
+    ``constraints[k]`` (j < k); all sets are Python-int bitsets.
+
+    Candidates go fewest onward candidates (the next position's candidate
+    set once they are placed) first, ties by index; one that leaves the
+    next position empty is skipped.
+
+    When one table ties every position k >= 1 to k-1 and the positions
+    take every vertex of ``allowed``, the ordering is a Hamiltonian path of
+    that table, taken to be symmetric (adjacency rows are; the cages tie
+    their last point and first line through a second table and skip this
+    rule).  The unplaced vertices must then induce a connected subgraph of
+    it: checked at the root, and after each placement by a bitset search
+    unless the placed vertex has at most one unplaced neighbour in the
+    table, whose removal cannot disconnect a connected set.
+
+    An explicit stack, one node charged per placement.  Returns the
+    ordering or None (search space exhausted); raises BudgetExhausted.
+    """
+    size = len(allowed)
+    order: list[int] = []
+    free = 0
+    for mask in allowed:
+        free |= mask
+    ties = [{t for j, t in constraints[k] if j == k - 1} for k in range(1, size)]
+    chain = None
+    if ties and free.bit_count() == size:
+        chain = next((rows[t] for t in ties[0] if all(t in s for s in ties)), None)
+    if chain is not None and not _connected(free, chain):
+        return None
+
+    def ranked(k: int) -> list[int]:
+        cand = allowed[k] & free
+        for j, t in constraints[k]:
+            cand &= rows[t][order[j]]
+        if k + 1 == size:
+            return _bits(cand)
+        base = allowed[k + 1] & free
+        links = [rows[t] for j, t in constraints[k + 1] if j == k]
+        for j, t in constraints[k + 1]:
+            if j < k:
+                base &= rows[t][order[j]]
+        scored = []
+        for c in _bits(cand):
+            onward = base & ~(1 << c)
+            for table in links:
+                onward &= table[c]
+            if onward:
+                scored.append((onward.bit_count(), c))
+        scored.sort()
+        return [c for _, c in scored]
+
+    frames = [iter(ranked(0))]
+    while frames:
+        c = next(frames[-1], None)
+        if c is None:
+            frames.pop()
+            if order:
+                free |= 1 << order.pop()
+            continue
+        if not budget.charge():
+            raise BudgetExhausted
+        order.append(c)
+        free &= ~(1 << c)
+        if len(order) == size:
+            return order
+        if (chain is not None and (chain[c] & free).bit_count() > 1
+                and not _connected(free, chain)):
+            free |= 1 << order.pop()
+            continue
+        frames.append(iter(ranked(len(order))))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +227,6 @@ def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
     """A Hamiltonian path certificate, None (proof of non-existence), or
     TIMEOUT when the node budget runs out first."""
     n = g.n
-    if n == 0:
-        return PathCertificate((), "path")
-    if n == 1:
-        return PathCertificate((0,), "path")
-    if len(components(g)) > 1:
-        return None
     degree_one = [v for v in range(n) if g.degree(v) == 1]
     if len(degree_one) > 2:
         return None
@@ -138,57 +235,16 @@ def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
     if constructed is not None:
         return PathCertificate(tuple(constructed), "path")
 
-    budget = as_budget(deadline)
-    key = lambda v: (g.degree(v), v)
-    neighbor_order = {v: sorted(g.neighbors(v), key=key) for v in range(n)}
+    adjacency = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    everyone = (1 << n) - 1
     # a path endpoint must be a degree-1 vertex whenever one exists
-    starts = [min(degree_one)] if degree_one else sorted(range(n), key=key)
-
-    on_path = [False] * n
-    sequence: list[int] = []
-
-    def reachable_all(head: int) -> bool:
-        # every unvisited vertex must stay reachable from the current head
-        # through unvisited vertices only
-        target = n - len(sequence)
-        if target == 0:
-            return True
-        seen = {head}
-        stack = [head]
-        found = 0
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w not in seen and not on_path[w]:
-                    seen.add(w)
-                    found += 1
-                    if found == target:
-                        return True
-                    stack.append(w)
-        return False
-
-    def dfs(v: int) -> bool:
-        if not budget.charge():
-            raise BudgetExhausted
-        sequence.append(v)
-        on_path[v] = True
-        if len(sequence) == n:
-            return True
-        if reachable_all(v):
-            for w in neighbor_order[v]:
-                if not on_path[w] and dfs(w):
-                    return True
-        sequence.pop()
-        on_path[v] = False
-        return False
-
+    allowed = [1 << min(degree_one) if degree_one else everyone] + [everyone] * (n - 1)
+    constraints = [[]] + [[(k - 1, 0)] for k in range(1, n)]
     try:
-        for s in starts:
-            if dfs(s):
-                return PathCertificate(tuple(sequence), "path")
+        order = _window_ordering([adjacency], constraints, allowed, as_budget(deadline))
     except BudgetExhausted:
         return TIMEOUT
-    return None
+    return None if order is None else PathCertificate(tuple(order), "path")
 
 
 def dirac_hamiltonian_path(g: Graph) -> PathCertificate:
@@ -237,70 +293,6 @@ def dirac_hamiltonian_path(g: Graph) -> PathCertificate:
 # powers of Hamiltonian cycles
 
 
-def _bits(x: int) -> list[int]:
-    """Indices of the set bits of x, in increasing order."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
-def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
-    """Distinct vertices for positions 0..len(allowed)-1: the one at k lies
-    in ``allowed[k]`` and in ``rows[t][order[j]]`` for every ``(j, t)`` in
-    ``constraints[k]`` (j < k); all sets are Python-int bitsets.
-
-    Candidates go fewest onward candidates (the next position's candidate
-    set once they are placed) first, ties by index; one that leaves the
-    next position empty is skipped.  An explicit stack, one node charged
-    per placement.  Returns the ordering or None (search space exhausted);
-    raises BudgetExhausted.
-    """
-    size = len(allowed)
-    order: list[int] = []
-    free = -1  # every bit set: nothing placed yet
-
-    def ranked(k: int) -> list[int]:
-        cand = allowed[k] & free
-        for j, t in constraints[k]:
-            cand &= rows[t][order[j]]
-        if k + 1 == size:
-            return _bits(cand)
-        base = allowed[k + 1] & free
-        links = [rows[t] for j, t in constraints[k + 1] if j == k]
-        for j, t in constraints[k + 1]:
-            if j < k:
-                base &= rows[t][order[j]]
-        scored = []
-        for c in _bits(cand):
-            onward = base & ~(1 << c)
-            for table in links:
-                onward &= table[c]
-            if onward:
-                scored.append((onward.bit_count(), c))
-        scored.sort()
-        return [c for _, c in scored]
-
-    frames = [iter(ranked(0))]
-    while frames:
-        c = next(frames[-1], None)
-        if c is None:
-            frames.pop()
-            if order:
-                free |= 1 << order.pop()
-            continue
-        if not budget.charge():
-            raise BudgetExhausted
-        order.append(c)
-        free &= ~(1 << c)
-        if len(order) == size:
-            return order
-        frames.append(iter(ranked(len(order))))
-    return None
-
-
 def find_cycle_power(
     g: Graph, power: int, deadline: int | SearchBudget | None = None
 ):
@@ -319,8 +311,6 @@ def find_cycle_power(
         return None
     needed = min(2 * power, n - 1)
     if min(g.degrees()) < needed:
-        return None
-    if len(components(g)) > 1:
         return None
 
     start = min(range(n), key=lambda v: (g.degree(v), v))

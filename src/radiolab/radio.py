@@ -723,10 +723,11 @@ def settle(
 
     A graceful verdict is closed already.  Otherwise, up to the oracle's
     vertex limit the exact rn closes both bounds and decides an Unknown
-    verdict (rule ``exact-oracle``); above it, a non-graceful girth-8 cage
-    gets the window-search labeling as its upper bound.  The labeling is a
-    RadioLabeling, TIMEOUT (the oracle or the cage search ran out of the
-    one node budget that all three share; the verdict is analyze's) or None.
+    verdict (rule ``exact-oracle``); above it, a non-graceful girth-8 or
+    girth-12 cage (diameter 4 or 6) gets the window-search labeling as its
+    upper bound.  The labeling is a RadioLabeling, TIMEOUT (the oracle or
+    the cage search ran out of the one node budget that all three share;
+    the verdict is analyze's) or None.
     """
     if dist is None:
         dist = all_pairs_distances(g)
@@ -743,10 +744,11 @@ def settle(
             status = RADIO_GRACEFUL if rn == g.n else NOT_RADIO_GRACEFUL
             verdict = replace(verdict, status=status, rule="exact-oracle")
         return replace(verdict, rn_lower=rn, rn_upper=rn), witness
-    if verdict.status == UNKNOWN:
+    label_cage = {4: label_quadrangle_cage, 6: label_hexagon_cage}.get(int(dist.max()))
+    if verdict.status == UNKNOWN or label_cage is None:
         return verdict, None
     try:
-        labeling = label_quadrangle_cage(g, budget, dist=dist)
+        labeling = label_cage(g, budget, dist=dist)
     except PreconditionFailed:
         return verdict, None
     if isinstance(labeling, RadioLabeling):

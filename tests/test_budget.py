@@ -13,7 +13,7 @@ def test_budget_counts_down():
     b = SearchBudget(3)
     assert b.charge() and b.charge() and b.charge()
     assert not b.charge()
-    assert b.exhausted
+    assert b.remaining == -1
     assert b.spent == 4
 
 

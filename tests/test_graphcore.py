@@ -327,6 +327,19 @@ def test_isomorphism_timeout_sentinel():
     assert all(h.is_edge(mapping[u], mapping[v]) for u, v in g.edges())
 
 
+def test_isomorphism_long_cycle_has_no_recursion_limit():
+    # one mapped position per vertex on an explicit stack: 1200 positions
+    # used to overflow the interpreter's recursion limit
+    n = 1200
+    g = rl.cycle(n)
+    h = Graph(n, [((u + 7) % n, (v + 7) % n) for u, v in g.edges()])
+    budget = rl.SearchBudget(10**6)
+    mapping = are_isomorphic(g, h, budget)
+    assert budget.spent == n
+    assert sorted(mapping) == list(range(n))
+    assert all(h.is_edge(mapping[u], mapping[v]) for u, v in g.edges())
+
+
 def test_bipartite_even_diameter_has_disconnected_antipodal():
     corpus = [rl.complete_bipartite(n, n) for n in range(2, 7)]
     corpus += [rl.cycle(2 * n) for n in range(2, 9)]

@@ -63,6 +63,52 @@ def test_agreement_with_bruteforce_random(seed):
     assert (got is not None) == brute_has_ham_path(g)
 
 
+def test_exact_search_alone_agrees_with_bruteforce(atlas6, monkeypatch):
+    # the constructive phase answers almost every positive case, so switch
+    # it off and let the window search decide every graph by itself
+    monkeypatch.setattr(rl.hamsearch, "_rotation_extension_path", lambda g: None)
+    rng = random.Random(7100)
+    graphs = list(atlas6)
+    for _ in range(20):
+        n = rng.randint(7, 10)
+        graphs.append(random_connected_graph(n, rng.uniform(0.2, 0.6), rng))
+    for g in graphs:
+        got = find_hamiltonian_path(g)
+        assert got is not TIMEOUT
+        assert (got is not None) == brute_has_ham_path(g)
+        if got is not None:
+            assert verify_certificate(g, got)
+
+
+def _cycles_at_a_vertex(lengths):
+    """Cycles of the given lengths sharing vertex 0."""
+    edges, n = [], 1
+    for length in lengths:
+        prev = 0
+        for _ in range(length - 1):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+        edges.append((prev, 0))
+    return Graph(n, edges)
+
+
+def test_three_cycles_at_a_cut_vertex_are_not_traceable():
+    # removing the shared vertex leaves three paths; the unplaced vertices
+    # lose connectivity as soon as a path walks through it
+    g = _cycles_at_a_vertex((150, 150, 150))
+    assert g.n == 448
+    assert find_hamiltonian_path(g, deadline=10**5) is None
+
+
+def test_disconnected_graph_costs_no_search_node():
+    two_k4 = Graph(8, [(u + s, v + s) for s in (0, 4) for u in range(4)
+                       for v in range(u + 1, 4)])
+    budget = rl.SearchBudget(10)
+    assert find_cycle_power(two_k4, 1, budget) is None
+    assert find_hamiltonian_path(two_k4, budget) is None
+    assert budget.spent == 0
+
+
 def test_dirac_guarantee_small(atlas7):
     for g in atlas7:
         report = sufficient_conditions(g)

@@ -609,6 +609,15 @@ def test_settle_closes_the_girth_8_cage():
     assert verify(g, lab) == []
 
 
+def test_settle_closes_the_girth_12_cage():
+    # diameter 6 picks the hexagon-cage labeling: rn = |V|+1 = 127
+    g = rl.builtin_graph("cage-3-12")
+    v, lab = rl.settle(g)
+    assert (v.status, v.rule) == (NOT_RADIO_GRACEFUL, "bipartite-even-diameter")
+    assert v.rn_lower == v.rn_upper == lab.span == 127
+    assert verify(g, lab) == []
+
+
 def test_settle_cage_search_timeout_leaves_rn_open():
     v, lab = rl.settle(rl.builtin_graph("cage-3-8"), deadline=1)
     assert lab is TIMEOUT
