@@ -19,7 +19,6 @@ from .budget import TIMEOUT
 from .errors import BadParams, RadioLabError
 from .graphcore import (
     Graph,
-    all_pairs_distances,
     antipodal,
     are_isomorphic,
     complement,
@@ -147,12 +146,11 @@ def cmd_construct(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = families.read_edge_list(args.graph)
-    dist = all_pairs_distances(g)
-    verdict, labeling = settle(g, args.budget, dist)
+    verdict, labeling = settle(g, args.budget)
     if labeling is TIMEOUT:  # the oracle or the cage search ran out; the verdict stands
         labeling = None
     payload = verdict.to_json_dict()
-    payload.update({"n": g.n, "diameter": diameter(g, dist)})
+    payload.update({"n": g.n, "diameter": diameter(g)})
     if labeling is not None:
         payload["labeling"] = list(labeling.labels)
         payload["labeling_span"] = labeling.span
@@ -180,13 +178,11 @@ def _infer_singer_q(n: int) -> int:
     return q
 
 
-def _transport_labels(target: Graph, g: Graph, labeling: RadioLabeling, budget,
-                      dist):
-    """Carry a labeling of ``target`` over to the isomorphic graph ``g``,
-    whose distance matrix is ``dist``."""
+def _transport_labels(target: Graph, g: Graph, labeling: RadioLabeling, budget):
+    """Carry a labeling of ``target`` over to the isomorphic graph ``g``."""
     if target == g:
         return labeling
-    mapping = are_isomorphic(target, g, budget, dist_h=dist)
+    mapping = are_isomorphic(target, g, budget)
     if mapping is TIMEOUT:
         return TIMEOUT
     if mapping is None:
@@ -199,29 +195,28 @@ def _transport_labels(target: Graph, g: Graph, labeling: RadioLabeling, budget,
 
 def cmd_label(args) -> int:
     g = families.read_edge_list(args.graph)
-    dist = all_pairs_distances(g)
     method = args.method
     labeling = None
     if method == "auto":
-        verdict, labeling = settle(g, args.budget, dist)
+        verdict, labeling = settle(g, args.budget)
         if labeling is None:
             print(f"no labeling method applies ({verdict.status}; {verdict.rule})",
                   file=sys.stderr)
             return EXIT_NEGATIVE
     elif method == "antipodal-path":
-        require_antipodal_path_diameter(g, dist)
-        cert = find_hamiltonian_path(antipodal(g, dist), args.budget)
+        require_antipodal_path_diameter(g)
+        cert = find_hamiltonian_path(antipodal(g), args.budget)
         if cert is TIMEOUT:
             labeling = TIMEOUT
         elif cert is None:
             print("antipodal graph has no Hamiltonian path", file=sys.stderr)
             return EXIT_NEGATIVE
         else:
-            labeling = label_from_antipodal_path(g, cert, dist)
+            labeling = label_from_antipodal_path(g, cert)
     elif method == "quad-glue":
-        labeling = label_quadrangle_cage(g, args.budget, dist=dist)
+        labeling = label_quadrangle_cage(g, args.budget)
     elif method == "hex-glue":
-        labeling = label_hexagon_cage(g, args.budget, dist=dist)
+        labeling = label_hexagon_cage(g, args.budget)
     elif method in ("singer", "singer-complement"):
         q = _infer_singer_q(g.n)
         if method == "singer":
@@ -230,7 +225,7 @@ def cmd_label(args) -> int:
         else:
             target = complement(families.singer_graph(q))
             base = singer_label_erq_complement(q)
-        labeling = _transport_labels(target, g, base, args.budget, dist)
+        labeling = _transport_labels(target, g, base, args.budget)
         if labeling is None:
             print("graph is not isomorphic to the Singer-construction target",
                   file=sys.stderr)
@@ -239,12 +234,12 @@ def cmd_label(args) -> int:
         print("search budget exhausted", file=sys.stderr)
         return EXIT_TIMEOUT
     assert isinstance(labeling, RadioLabeling)
-    bad = verify(g, labeling, dist)
+    bad = verify(g, labeling)
     if bad:
         print(f"constructed labeling failed verification ({len(bad)} violations)",
               file=sys.stderr)
         return EXIT_NEGATIVE
-    _write_or_print(labeling_to_json(g, labeling, dist), args.out)
+    _write_or_print(labeling_to_json(g, labeling), args.out)
     if args.out:
         print(f"span {labeling.span} labeling written to {args.out}")
     return EXIT_OK
@@ -256,13 +251,12 @@ def cmd_verify(args) -> int:
     if n != g.n:
         print(f"labeling is for {n} vertices, graph has {g.n}", file=sys.stderr)
         return EXIT_USAGE
-    dist = all_pairs_distances(g)
-    graph_diam = diameter(g, dist)
+    graph_diam = diameter(g)
     if diam != graph_diam:
         print(f"labeling file records diameter {diam}, graph has {graph_diam}",
               file=sys.stderr)
         return EXIT_USAGE
-    violations = verify(g, labeling, dist)
+    violations = verify(g, labeling)
     if args.json:
         sys.stdout.write(_dump_json({
             "ok": not violations,
@@ -279,9 +273,8 @@ def cmd_verify(args) -> int:
 
 def cmd_radio_number(args) -> int:
     g = families.read_edge_list(args.graph)
-    # the oracle refuses larger graphs before it reads any distance
-    dist = all_pairs_distances(g) if g.n <= args.limit else None
-    exact = radio_number_exact(g, args.limit, dist)
+    # the oracle refuses graphs above --limit before it computes a distance
+    exact = radio_number_exact(g, args.limit)
     if exact is TIMEOUT:
         print("search budget exhausted", file=sys.stderr)
         return EXIT_TIMEOUT
@@ -292,7 +285,7 @@ def cmd_radio_number(args) -> int:
         print(rn)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(labeling_to_json(g, witness, dist))
+            fh.write(labeling_to_json(g, witness))
     return EXIT_OK
 
 

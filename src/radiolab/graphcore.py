@@ -1,10 +1,13 @@
 """Simple undirected graphs and the metric machinery built on them.
 
 Vertices are dense integers ``0..n-1``.  Graphs are immutable after
-construction, so they are safe to share between concurrent searches.
-Distance matrices are numpy int arrays using :data:`UNREACHABLE` (= -1)
-for cross-component pairs; disconnected inputs are not an error for
-distance queries because antipodal-component analysis needs them.
+construction, so they are safe to share between concurrent searches; the
+one thing filled in later is the graph's distance matrix, computed on the
+first :func:`all_pairs_distances` call and kept on the graph as a
+read-only array.  Every metric here reads that one matrix.  Distance
+matrices are numpy int arrays using :data:`UNREACHABLE` (= -1) for
+cross-component pairs; disconnected inputs are not an error for distance
+queries because antipodal-component analysis needs them.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class Graph:
     the point/line split around.
     """
 
-    __slots__ = ("n", "parts", "num_edges", "_adj")
+    __slots__ = ("n", "parts", "num_edges", "_adj", "_distances")
 
     def __init__(
         self,
@@ -77,6 +80,7 @@ class Graph:
                     if parts[u] == parts[v]:
                         raise ValueError(f"edge ({u},{v}) does not cross parts")
         self.parts = parts
+        self._distances: Optional[np.ndarray] = None
 
     @classmethod
     def _trusted(
@@ -89,6 +93,7 @@ class Graph:
         g.num_edges = num_edges
         g._adj = adj
         g.parts = None
+        g._distances = None
         return g
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -158,6 +163,19 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """BFS-exact all-pairs distances; UNREACHABLE marks cross-component pairs.
 
+    Computed once per graph and kept on it: every later call returns the
+    same read-only int32 array.
+    """
+    if g._distances is None:
+        dist = _bfs_distances(g)
+        dist.flags.writeable = False
+        g._distances = dist
+    return g._distances
+
+
+def _bfs_distances(g: Graph) -> np.ndarray:
+    """The distance matrix of ``g``, computed afresh.
+
     The breadth-first searches from all sources advance together, one
     level per step.  Row s of ``balls`` is the ball of radius k around s,
     bit-packed into uint64 words (vertex v is bit v % 64 of word v // 64).
@@ -205,11 +223,10 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         balls = grown
 
 
-def diameter(g: Graph, dist: Optional[np.ndarray] = None) -> int:
+def diameter(g: Graph) -> int:
     if g.n == 0:
         raise Disconnected("diameter of the empty graph is undefined")
-    if dist is None:
-        dist = all_pairs_distances(g)
+    dist = all_pairs_distances(g)
     if (dist == UNREACHABLE).any():
         raise Disconnected("graph is disconnected")
     return int(dist.max())
@@ -219,7 +236,7 @@ def diameter(g: Graph, dist: Optional[np.ndarray] = None) -> int:
 _GIRTH_BLOCK_ENTRIES = 1 << 16
 
 
-def girth(g: Graph, dist: Optional[np.ndarray] = None) -> Optional[int]:
+def girth(g: Graph) -> Optional[int]:
     """Length of the shortest cycle, or None for acyclic graphs.
 
     Read from the distance matrix, root by root.  Seen from root s, an
@@ -237,8 +254,7 @@ def girth(g: Graph, dist: Optional[np.ndarray] = None) -> Optional[int]:
     """
     if g.num_edges == 0:
         return None
-    if dist is None:
-        dist = all_pairs_distances(g)
+    dist = all_pairs_distances(g)
     degree, neighbours = _csr(g)
     owner = np.repeat(np.arange(g.n), degree)
     active = np.flatnonzero(degree)  # reduceat needs non-empty segments
@@ -285,29 +301,21 @@ def components(g: Graph) -> list[list[int]]:
     return out
 
 
-def antipodal(g: Graph, dist: Optional[np.ndarray] = None) -> Graph:
+def antipodal(g: Graph) -> Graph:
     """Graph joining exactly the vertex pairs at distance diam(g).
 
-    Row v of ``dist == diam`` is the neighbour list of v, read in one
-    ``nonzero`` pass; beyond ``dist`` this needs the n-by-n boolean mask
-    and the index lists.  Each row becomes ``frozenset(set(ascending
+    Row v of ``dist == diam`` is the neighbour list of v; beyond the
+    distance matrix this needs the n-by-n boolean mask and one row's
+    index list at a time.  Each row becomes ``frozenset(set(ascending
     list))``, the way ``Graph.__init__`` builds it from sorted edges, so
     neighbour iteration order, on which the path searches' witnesses
     depend, is that of the edge-list constructor.
     """
-    if dist is None:
-        dist = all_pairs_distances(g)
-    diam = diameter(g, dist)
-    mask = dist == diam
+    diam = diameter(g)
+    mask = all_pairs_distances(g) == diam
     np.fill_diagonal(mask, False)
-    counts = mask.sum(axis=1).tolist()
-    columns = np.nonzero(mask)[1].tolist()
-    adj = []
-    end = 0
-    for count in counts:
-        start, end = end, end + count
-        adj.append(frozenset(set(columns[start:end])))
-    return Graph._trusted(g.n, tuple(adj), len(columns) // 2)
+    adj = tuple(frozenset(set(np.flatnonzero(row).tolist())) for row in mask)
+    return Graph._trusted(g.n, adj, sum(map(len, adj)) // 2)
 
 
 def complement(g: Graph) -> Graph:
@@ -368,20 +376,17 @@ def bipartite_moore_bound(delta: int, diam: int) -> int:
 # isomorphism
 
 
-def _initial_colors(g: Graph, dist: Optional[np.ndarray]) -> list[tuple]:
-    if dist is None:
-        dist = all_pairs_distances(g)
+def _initial_colors(g: Graph) -> list[tuple]:
+    dist = all_pairs_distances(g)
     return [
         (g.degree(v), tuple(sorted(int(x) for x in dist[v]))) for v in range(g.n)
     ]
 
 
-def _refine_colors_jointly(
-    g: Graph, h: Graph, dist_g: Optional[np.ndarray], dist_h: Optional[np.ndarray]
-) -> tuple[list[tuple], list[tuple]]:
+def _refine_colors_jointly(g: Graph, h: Graph) -> tuple[list[tuple], list[tuple]]:
     """Neighborhood-color refinement run in lockstep on both graphs so the
     resulting color tuples are directly comparable across them."""
-    cg, ch = _initial_colors(g, dist_g), _initial_colors(h, dist_h)
+    cg, ch = _initial_colors(g), _initial_colors(h)
     while True:
         rg = [
             (cg[v], tuple(sorted(cg[u] for u in g.neighbors(v))))
@@ -397,19 +402,13 @@ def _refine_colors_jointly(
 
 
 def are_isomorphic(
-    g: Graph,
-    h: Graph,
-    deadline: int | SearchBudget | None = None,
-    dist_g: Optional[np.ndarray] = None,
-    dist_h: Optional[np.ndarray] = None,
+    g: Graph, h: Graph, deadline: int | SearchBudget | None = None
 ):
     """A vertex bijection g -> h preserving adjacency, None, or TIMEOUT.
 
     Backtracking over color classes from degree/distance-profile refinement;
     None is returned only from an invariant mismatch or an exhausted search,
     so it is a proof of non-isomorphism.  The deadline counts search nodes.
-    ``dist_g`` and ``dist_h`` are the graphs' distance matrices when the
-    caller holds them already.
     """
     if g.n != h.n or g.num_edges != h.num_edges:
         return None
@@ -419,39 +418,40 @@ def are_isomorphic(
     n = g.n
     if n == 0:
         return ()
-    cg, ch = _refine_colors_jointly(g, h, dist_g, dist_h)
+    cg, ch = _refine_colors_jointly(g, h)
     if sorted(cg) != sorted(ch):
         return None
 
-    by_color: dict[tuple, list[int]] = {}
+    # vertex sets of h as Python-int bitsets (bit y = vertex y)
+    by_color: dict[tuple, int] = {}
     for v in range(n):
-        by_color.setdefault(ch[v], []).append(v)
+        by_color[ch[v]] = by_color.get(ch[v], 0) | 1 << v
+    adj_h = [sum(1 << y for y in h.neighbors(v)) for v in range(n)]
     # most-constrained-first: smallest candidate class, then highest degree
-    order = sorted(range(n), key=lambda v: (len(by_color[cg[v]]), -g.degree(v), v))
+    order = sorted(
+        range(n), key=lambda v: (by_color[cg[v]].bit_count(), -g.degree(v), v)
+    )
     mapping: list[int] = [-1] * n
-    used = [False] * n
+    used = 0
 
     def candidates(pos: int):
-        # the images for order[pos] that keep adjacency and non-adjacency
-        # with every vertex mapped so far, read lazily as the search moves on
+        # the unused images for order[pos], in ascending order, adjacent to
+        # the images of its mapped neighbours (``want``) and to no other
+        # image; the vertices mapped are those of positions 0..pos-1
+        # whenever the search asks this frame for its next candidate
         x = order[pos]
-        for y in by_color[cg[x]]:
-            if used[y]:
-                continue
-            ok = True
-            for x2 in g.neighbors(x):
-                y2 = mapping[x2]
-                if y2 >= 0 and not h.is_edge(y, y2):
-                    ok = False
-                    break
-            if ok:
-                # non-adjacency must be preserved as well
-                for q in range(pos):
-                    x2 = order[q]
-                    if not g.is_edge(x, x2) and h.is_edge(y, mapping[x2]):
-                        ok = False
-                        break
-            if ok:
+        cand = by_color[cg[x]] & ~used
+        want = 0
+        for x2 in g.neighbors(x):
+            y2 = mapping[x2]
+            if y2 >= 0:
+                cand &= adj_h[y2]
+                want |= 1 << y2
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            y = low.bit_length() - 1
+            if adj_h[y] & used == want:
                 yield y
 
     # an explicit stack of candidate iterators, one per mapped position;
@@ -462,14 +462,14 @@ def are_isomorphic(
     while frames:
         x = order[len(frames) - 1]
         if mapping[x] >= 0:
-            used[mapping[x]] = False
+            used ^= 1 << mapping[x]
             mapping[x] = -1
         y = next(frames[-1], None)
         if y is None:
             frames.pop()
             continue
         mapping[x] = y
-        used[y] = True
+        used |= 1 << y
         if len(frames) == n:
             return tuple(mapping)
         if not budget.charge():

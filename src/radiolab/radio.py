@@ -34,7 +34,6 @@ from .errors import (
 )
 from .field import singer_difference_set
 from .graphcore import (
-    UNREACHABLE,
     Graph,
     all_pairs_distances,
     antipodal,
@@ -150,9 +149,7 @@ class AnalysisVerdict:
 # verification
 
 
-def verify(
-    g: Graph, labeling: RadioLabeling, dist: Optional[np.ndarray] = None
-) -> list[tuple[int, int, int]]:
+def verify(g: Graph, labeling: RadioLabeling) -> list[tuple[int, int, int]]:
     """All violating pairs (u, v, slack), u < v, sorted by (u, v); an empty
     list means the labeling is a valid radio labeling.
     slack = |f(u)-f(v)| + d(u,v) - (diam+1) < 0.
@@ -171,9 +168,8 @@ def verify(
         raise ValueError(f"labeling covers {labeling.n} vertices, graph has {g.n}")
     if len(set(labeling.labels)) != g.n:
         raise NotInjective("labels are not pairwise distinct")
-    if dist is None:
-        dist = all_pairs_distances(g)
-    diam = diameter(g, dist)  # raises Disconnected
+    diam = diameter(g)  # raises Disconnected
+    dist = all_pairs_distances(g)
     need = diam + 1
     f = labeling.labels
     order = sorted(range(g.n), key=f.__getitem__)
@@ -203,13 +199,11 @@ def verify(
 # constructive labelings
 
 
-def require_antipodal_path_diameter(
-    g: Graph, dist: Optional[np.ndarray] = None
-) -> int:
+def require_antipodal_path_diameter(g: Graph) -> int:
     """Raise UnsupportedDiameter unless diam(g) <= 2, or diam(g) = 3 with g
     bipartite: the only cases where a Hamiltonian path of the antipodal
     graph yields a graceful labeling.  Returns diam(g)."""
-    diam = diameter(g, dist)
+    diam = diameter(g)
     if not (diam <= 2 or (diam == 3 and bipartition(g) is not None)):
         raise UnsupportedDiameter(
             f"antipodal-path labeling proven only for diameter <= 2 or bipartite "
@@ -218,30 +212,26 @@ def require_antipodal_path_diameter(
     return diam
 
 
-def label_from_antipodal_path(
-    g: Graph, cert: PathCertificate, dist: Optional[np.ndarray] = None
-) -> RadioLabeling:
+def label_from_antipodal_path(g: Graph, cert: PathCertificate) -> RadioLabeling:
     """Graceful labeling from a Hamiltonian path of the antipodal graph.
 
     Sound exactly when :func:`require_antipodal_path_diameter` holds: the
     vertex at path position i receives label i+1.  The path is checked on
-    ``dist``: consecutive vertices must lie at distance diam(g).
+    the distance matrix: consecutive vertices must lie at distance diam(g).
     """
-    if dist is None:
-        dist = all_pairs_distances(g)
-    diam = require_antipodal_path_diameter(g, dist)
+    diam = require_antipodal_path_diameter(g)
     if cert.kind != "path":
         raise BadCertificate(f"need a path certificate, got {cert.kind!r}")
     if sorted(cert.ordering) != list(range(g.n)):
         raise BadPermutation("ordering is not a permutation of the vertex set")
     order = np.asarray(cert.ordering, dtype=np.intp)
-    if (dist[order[:-1], order[1:]] != diam).any():
+    if (all_pairs_distances(g)[order[:-1], order[1:]] != diam).any():
         raise BadCertificate("ordering is not a Hamiltonian path of the antipodal graph")
     labels = [0] * g.n
     for pos, v in enumerate(cert.ordering):
         labels[v] = pos + 1
     labeling = RadioLabeling(tuple(labels))
-    if verify(g, labeling, dist):
+    if verify(g, labeling):
         raise AssertionError("antipodal-path labeling failed verification")
     return labeling
 
@@ -279,7 +269,7 @@ def _bit_rows(mask: np.ndarray) -> list[int]:
 
 
 def _label_cage(g: Graph, deadline, diam: int, want_girth: int, point_cycle,
-                line_cycle, dist: Optional[np.ndarray]):
+                line_cycle):
     """Span-(2m+1) labeling of a cage whose antipodal components are its
     parts: points get labels 1..m and lines m+2..2m+1, in the order one
     exact window search finds.  Position k needs distance >= diam+1-g to
@@ -292,20 +282,18 @@ def _label_cage(g: Graph, deadline, diam: int, want_girth: int, point_cycle,
         raise PreconditionFailed("parts have different sizes")
     if regularity(g) is None:
         raise PreconditionFailed("graph is not regular")
-    if dist is None:
-        dist = all_pairs_distances(g)
-    if (dist == UNREACHABLE).any():
-        raise Disconnected("graph is disconnected")
-    if int(dist.max()) != diam:
-        raise PreconditionFailed(f"diameter is {int(dist.max())}, need {diam}")
-    g_girth = girth(g, dist)
+    g_diam = diameter(g)  # raises Disconnected
+    if g_diam != diam:
+        raise PreconditionFailed(f"diameter is {g_diam}, need {diam}")
+    g_girth = girth(g)
     if g_girth != want_girth:
         raise PreconditionFailed(f"girth is {g_girth}, need {want_girth}")
-    a = antipodal(g, dist)
+    a = antipodal(g)
     if sorted(components(a)) != sorted([side0, side1]):
         raise PreconditionFailed("antipodal components do not match the two parts")
 
     m = len(side0)
+    dist = all_pairs_distances(g)
     rows = {t: _bit_rows(dist >= t) for t in range(2, diam + 1)}
     points, lines = (sum(1 << v for v in side) for side in (side0, side1))
     allowed = [points] * m + [lines] * m
@@ -333,7 +321,7 @@ def _label_cage(g: Graph, deadline, diam: int, want_girth: int, point_cycle,
         raise ConstructionFailed("no span-(2m+1) ordering of points then lines")
     # order is a permutation of the vertices: sorted by vertex, its labels
     labeling = RadioLabeling(tuple(f for _, f in sorted(zip(order, label))))
-    if verify(g, labeling, dist):
+    if verify(g, labeling):
         raise AssertionError("cage labeling failed verification")
     return labeling
 
@@ -343,7 +331,6 @@ def label_quadrangle_cage(
     deadline: int | SearchBudget | None = None,
     point_cycle: Optional[Sequence[int]] = None,
     line_cycle: Optional[Sequence[int]] = None,
-    dist: Optional[np.ndarray] = None,
 ):
     """Span-(2m+1) radio labeling of a (q+1,8)-cage (m = vertices per part).
 
@@ -353,7 +340,7 @@ def label_quadrangle_cage(
     Hamiltonian cycles of the antipodal components are checked, then pin
     the search.  Returns TIMEOUT when the node budget runs out first.
     """
-    return _label_cage(g, deadline, 4, 8, point_cycle, line_cycle, dist)
+    return _label_cage(g, deadline, 4, 8, point_cycle, line_cycle)
 
 
 def label_hexagon_cage(
@@ -361,7 +348,6 @@ def label_hexagon_cage(
     deadline: int | SearchBudget | None = None,
     point_cycle: Optional[Sequence[int]] = None,
     line_cycle: Optional[Sequence[int]] = None,
-    dist: Optional[np.ndarray] = None,
 ):
     """Span-(2m+1) radio labeling of a (q+1,12)-cage, by the same exact
     window search as :func:`label_quadrangle_cage` with a window of 5
@@ -369,7 +355,7 @@ def label_hexagon_cage(
     antipodal components.  Returns TIMEOUT when the node budget runs out
     first.
     """
-    return _label_cage(g, deadline, 6, 12, point_cycle, line_cycle, dist)
+    return _label_cage(g, deadline, 6, 12, point_cycle, line_cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +414,7 @@ def _singer_label(q: int, of_complement: bool) -> RadioLabeling:
     g = singer_graph(q)
     if of_complement:
         g = complement(g)
-    dist = all_pairs_distances(g)
-    if of_complement and diameter(g, dist) != 2:
+    if of_complement and diameter(g) != 2:
         raise UnsupportedDiameter(
             f"complement of the Singer graph for q={q} does not have diameter 2"
         )
@@ -443,7 +428,7 @@ def _singer_label(q: int, of_complement: bool) -> RadioLabeling:
     for pos, v in enumerate(seq):
         labels[v] = pos + 1
     labeling = RadioLabeling(tuple(labels))
-    if verify(g, labeling, dist):
+    if verify(g, labeling):
         raise ConstructionFailed("recurrence output failed radio verification")
     return labeling
 
@@ -511,7 +496,6 @@ def _path_table(need: np.ndarray) -> np.ndarray:
 def radio_number_exact(
     g: Graph,
     vertex_limit: int = ORACLE_VERTEX_LIMIT,
-    dist: Optional[np.ndarray] = None,
     deadline: int | SearchBudget | None = None,
 ):
     """Exact rn(g) and an optimal witness, by branch and bound, or TIMEOUT
@@ -536,9 +520,8 @@ def radio_number_exact(
     n = g.n
     if n > vertex_limit:
         raise TooLarge(f"{n} vertices exceeds the oracle limit {vertex_limit}")
-    dist_np = all_pairs_distances(g) if dist is None else dist
-    diam = diameter(g, dist_np)  # raises Disconnected
-    need_np = diam + 1 - dist_np
+    diam = diameter(g)  # raises Disconnected
+    need_np = diam + 1 - all_pairs_distances(g)
     need = need_np.tolist()
     if n == 1:
         return 1, RadioLabeling((1,))
@@ -635,26 +618,20 @@ def radio_number_exact(
 
 
 def analyze(
-    g: Graph,
-    deadline: int | SearchBudget | None = None,
-    dist: Optional[np.ndarray] = None,
+    g: Graph, deadline: int | SearchBudget | None = None
 ) -> AnalysisVerdict:
     """Theorem-driven gracefulness decision with a certified verdict.
 
     Rules fire in order: trivial diameter; bipartite even diameter;
     disconnected antipodal graph; bounded-degree diameter 2 (guaranteed
     path); antipodal path search for diameter 2 or bipartite diameter 3
-    (where traceability is equivalent to gracefulness); the near-complete
-    regular bipartite special case; otherwise Unknown with honest bounds.
+    (where traceability is equivalent to gracefulness); otherwise Unknown
+    with honest bounds.
     """
     n = g.n
     if n == 0:
         raise Disconnected("empty graph")
-    if dist is None:
-        dist = all_pairs_distances(g)
-    if (dist == UNREACHABLE).any():
-        raise Disconnected("graph is disconnected")
-    diam = int(dist.max())
+    diam = diameter(g)  # raises Disconnected
 
     def graceful(rule: str, labeling: RadioLabeling) -> AnalysisVerdict:
         return AnalysisVerdict(RADIO_GRACEFUL, rule, labeling, n, n)
@@ -667,7 +644,7 @@ def analyze(
         return graceful("trivial-diameter", labeling)
 
     parts = bipartition(g)
-    a = antipodal(g, dist)
+    a = antipodal(g)
     comps = tuple(tuple(c) for c in components(a))
 
     if parts is not None and diam % 2 == 0:
@@ -683,41 +660,26 @@ def analyze(
 
     if diam == 2 and 2 * max(g.degrees()) <= n - 1:
         cert = dirac_hamiltonian_path(a)
-        labeling = label_from_antipodal_path(g, cert, dist)
+        labeling = label_from_antipodal_path(g, cert)
         return graceful("diameter-2-bounded-degree", labeling)
 
     if diam == 2 or (diam == 3 and parts is not None):
         budget = as_budget(deadline)
         result = find_hamiltonian_path(a, budget)
         if isinstance(result, PathCertificate):
-            labeling = label_from_antipodal_path(g, result, dist)
+            labeling = label_from_antipodal_path(g, result)
             return graceful("antipodal-path-found", labeling)
         if result is None:
             return not_graceful(
                 "antipodal-not-traceable",
                 Obstruction("no-hamiltonian-path", nodes_searched=budget.spent),
             )
-        # budget exhausted: the near-complete regular bipartite case can
-        # still be settled without search, its antipodal graph being a
-        # disjoint union of cycles
-        if parts is not None and 2 * sum(parts) == n:
-            m = n // 2
-            if regularity(g) == m - 2 and regularity(a) == 2 and len(comps) == 1:
-                walk = _walk_cycle(a)
-                labeling = label_from_antipodal_path(
-                    g, PathCertificate(tuple(walk), "path"), dist
-                )
-                return graceful("near-complete-regular-bipartite", labeling)
         return AnalysisVerdict(UNKNOWN, "search-budget-exhausted", None, n, None)
 
     return AnalysisVerdict(UNKNOWN, "no-decisive-rule", None, n, None)
 
 
-def settle(
-    g: Graph,
-    deadline: int | SearchBudget | None = None,
-    dist: Optional[np.ndarray] = None,
-):
+def settle(g: Graph, deadline: int | SearchBudget | None = None):
     """The analysis policy: :func:`analyze`'s verdict and best labeling,
     with rn closed where the oracle or a construction can close it.
 
@@ -729,14 +691,12 @@ def settle(
     the cage search ran out of the one node budget that all three share;
     the verdict is analyze's) or None.
     """
-    if dist is None:
-        dist = all_pairs_distances(g)
     budget = as_budget(deadline)
-    verdict = analyze(g, budget, dist)
+    verdict = analyze(g, budget)
     if verdict.status == RADIO_GRACEFUL:
         return verdict, verdict.certificate
     if g.n <= ORACLE_VERTEX_LIMIT:
-        exact = radio_number_exact(g, dist=dist, deadline=budget)
+        exact = radio_number_exact(g, deadline=budget)
         if exact is TIMEOUT:
             return verdict, TIMEOUT
         rn, witness = exact
@@ -744,11 +704,11 @@ def settle(
             status = RADIO_GRACEFUL if rn == g.n else NOT_RADIO_GRACEFUL
             verdict = replace(verdict, status=status, rule="exact-oracle")
         return replace(verdict, rn_lower=rn, rn_upper=rn), witness
-    label_cage = {4: label_quadrangle_cage, 6: label_hexagon_cage}.get(int(dist.max()))
+    label_cage = {4: label_quadrangle_cage, 6: label_hexagon_cage}.get(diameter(g))
     if verdict.status == UNKNOWN or label_cage is None:
         return verdict, None
     try:
-        labeling = label_cage(g, budget, dist=dist)
+        labeling = label_cage(g, budget)
     except PreconditionFailed:
         return verdict, None
     if isinstance(labeling, RadioLabeling):
@@ -756,28 +716,15 @@ def settle(
     return verdict, labeling
 
 
-def _walk_cycle(a: Graph) -> list[int]:
-    """Vertex order around a connected 2-regular graph, starting at 0."""
-    walk = [0]
-    prev = -1
-    while len(walk) < a.n:
-        nxt = min(w for w in a.neighbors(walk[-1]) if w != prev)
-        prev = walk[-1]
-        walk.append(nxt)
-    return walk
-
-
 # ---------------------------------------------------------------------------
 # labeling file format
 
 
-def labeling_to_json(
-    g: Graph, labeling: RadioLabeling, dist: Optional[np.ndarray] = None
-) -> str:
+def labeling_to_json(g: Graph, labeling: RadioLabeling) -> str:
     """Serialize as the interchange labeling format (stable byte output)."""
     payload = {
         "n": g.n,
-        "diameter": diameter(g, dist),
+        "diameter": diameter(g),
         "labels": list(labeling.labels),
         "span": labeling.span,
     }

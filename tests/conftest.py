@@ -6,7 +6,6 @@ implementations they check.
 """
 
 import itertools
-import sys
 
 import pytest
 
@@ -34,19 +33,17 @@ def atlas_connected(max_n=7):
 
 @pytest.fixture
 def distance_matrix_calls(monkeypatch):
-    """The order of every graph whose distance matrix is built during the
-    test, in call order, through any radiolab module."""
-    original = rl.graphcore.all_pairs_distances
+    """The order of every graph whose distance matrix is computed during
+    the test, in computation order; calls answered from a graph's kept
+    matrix are not counted."""
+    original = rl.graphcore._bfs_distances
     calls = []
 
     def counted(g):
         calls.append(g.n)
         return original(g)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("radiolab") and getattr(module, "all_pairs_distances",
-                                                   None) is original:
-            monkeypatch.setattr(module, "all_pairs_distances", counted)
+    monkeypatch.setattr(rl.graphcore, "_bfs_distances", counted)
     return calls
 
 

@@ -201,8 +201,25 @@ def test_girth_matches_reference_on_random_graphs():
         "C9", "K4", "K2,3"])
 def test_girth_matches_reference_on_families(make):
     g = make()
-    dist = all_pairs_distances(g)
-    assert girth(g, dist) == girth(g) == reference_girth(g)
+    assert girth(g) == reference_girth(g)
+
+
+def test_distance_matrix_is_kept_read_only_on_its_graph(distance_matrix_calls):
+    g = rl.petersen()
+    d = all_pairs_distances(g)
+    assert all_pairs_distances(g) is d
+    assert d.dtype == np.int32
+    with pytest.raises(ValueError):
+        d[0, 1] = 5
+    assert diameter(g) == 2 and girth(g) == 5
+    assert distance_matrix_calls == [10]
+    # derived graphs are new graphs, each with its own matrix
+    for derived in (complement(g), g.induced_subgraph(range(5)), antipodal(g)):
+        assert all_pairs_distances(derived) is not d
+    assert distance_matrix_calls == [10, 10, 5, 10]
+    # the kept matrix takes no part in equality or hashing
+    fresh = rl.petersen()
+    assert fresh == g and hash(fresh) == hash(g)
 
 
 def test_quadrangle_build_computes_one_distance_matrix(distance_matrix_calls):

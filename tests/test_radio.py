@@ -554,30 +554,23 @@ def test_analyze_requires_connected():
 
 def test_analyze_near_complete_regular_bipartite():
     # (m-2)-regular bipartite on 2m vertices whose antipodal graph is one
-    # cycle: graceful exactly when that antipodal graph is connected
-    m = 6
-    edges = [
-        (i, m + j)
-        for i in range(m)
-        for j in range(m)
-        if j not in (i, (i + 1) % m)
-    ]
-    g = Graph(2 * m, edges, parts=[0] * m + [1] * m)
-    assert rl.regularity(g) == m - 2
-    a = antipodal(g)
-    assert rl.regularity(a) == 2 and len(rl.components(a)) == 1
-    v = analyze(g, deadline=1)
-    assert v.status == RADIO_GRACEFUL
-    assert verify(g, v.certificate) == []
-
-
-def test_walk_cycle_helper():
-    from radiolab.radio import _walk_cycle
-
-    a = rl.cycle(9)
-    walk = _walk_cycle(a)
-    assert sorted(walk) == list(range(9))
-    assert all(a.is_edge(walk[i], walk[i + 1]) for i in range(8))
+    # cycle: the constructive path heuristic walks that cycle without
+    # spending the budget, so even a budget of one node settles it
+    for m in range(5, 12):
+        edges = [
+            (i, m + j)
+            for i in range(m)
+            for j in range(m)
+            if j not in (i, (i + 1) % m)
+        ]
+        g = Graph(2 * m, edges, parts=[0] * m + [1] * m)
+        assert rl.regularity(g) == m - 2
+        a = antipodal(g)
+        assert rl.regularity(a) == 2 and len(rl.components(a)) == 1
+        v = analyze(g, deadline=1)
+        assert v.status == RADIO_GRACEFUL
+        assert v.rule == "antipodal-path-found"
+        assert verify(g, v.certificate) == []
 
 
 def test_analyze_near_complete_disconnected_antipodal():
