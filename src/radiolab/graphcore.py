@@ -376,29 +376,40 @@ def bipartite_moore_bound(delta: int, diam: int) -> int:
 # isomorphism
 
 
-def _initial_colors(g: Graph) -> list[tuple]:
-    dist = all_pairs_distances(g)
-    return [
-        (g.degree(v), tuple(sorted(int(x) for x in dist[v]))) for v in range(g.n)
-    ]
+def _renumber(keys: np.ndarray) -> np.ndarray:
+    """Colour ids 0..k-1 for the rows of ``keys``: equal rows share one,
+    and ids follow the lexicographic order of the rows."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    colours = np.zeros(len(keys), dtype=np.intp)
+    colours[order[1:]] = np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))
+    return colours
 
 
-def _refine_colors_jointly(g: Graph, h: Graph) -> tuple[list[tuple], list[tuple]]:
-    """Neighborhood-color refinement run in lockstep on both graphs so the
-    resulting color tuples are directly comparable across them."""
-    cg, ch = _initial_colors(g), _initial_colors(h)
+def _neighbour_table(g: Graph, width: int, offset: int) -> np.ndarray:
+    """Row v lists the neighbours of v shifted by ``offset``, padded to
+    ``width`` columns with the index ``-1``."""
+    rows = [[w + offset for w in nbrs] + [-1] * (width - len(nbrs)) for nbrs in g._adj]
+    return np.array(rows, dtype=np.intp).reshape(g.n, width)
+
+
+def _refine(colours: np.ndarray, table: np.ndarray) -> Optional[np.ndarray]:
+    """The stable refinement of a joint colouring of g (first half) and h
+    (second half): each round splits classes by the multiset of
+    neighbour colours.  None when some class has different sizes in the
+    two graphs, which no isomorphism respecting the colouring allows."""
+    n = len(colours) // 2
     while True:
-        rg = [
-            (cg[v], tuple(sorted(cg[u] for u in g.neighbors(v))))
-            for v in range(g.n)
-        ]
-        rh = [
-            (ch[v], tuple(sorted(ch[u] for u in h.neighbors(v))))
-            for v in range(h.n)
-        ]
-        if len(set(rg) | set(rh)) == len(set(cg) | set(ch)):
-            return cg, ch
-        cg, ch = rg, rh
+        classes = int(colours.max()) + 1
+        if not np.array_equal(np.bincount(colours[:n], minlength=classes),
+                              np.bincount(colours[n:], minlength=classes)):
+            return None
+        # padding entries (index -1) read the appended colour -1
+        around = np.sort(np.append(colours, -1)[table], axis=1)
+        refined = _renumber(np.column_stack((colours, around)))
+        if refined.max() + 1 == classes:
+            return colours
+        colours = refined
 
 
 def are_isomorphic(
@@ -406,9 +417,20 @@ def are_isomorphic(
 ):
     """A vertex bijection g -> h preserving adjacency, None, or TIMEOUT.
 
-    Backtracking over color classes from degree/distance-profile refinement;
-    None is returned only from an invariant mismatch or an exhausted search,
-    so it is a proof of non-isomorphism.  The deadline counts search nodes.
+    Individualization-refinement (B. D. McKay and A. Piperno, "Practical
+    graph isomorphism, II", J. Symbolic Comput. 60, 2014) on one joint
+    colouring of both graphs.  Vertices start coloured by their sorted
+    distance rows and are refined by neighbour colours.  Each search
+    node takes the smallest class with more than one vertex (ties by
+    colour id), individualizes its least vertex x of g against each
+    vertex y of h in that class in ascending order, splits every class
+    by distance from x in g and from y in h, and refines again; a class
+    whose sizes in g and h differ prunes the node.  A discrete colouring
+    is returned as the bijection it defines, and only after an adjacency
+    check.  Every isomorphism that respects a colouring survives in one
+    of its children, so None is returned only after the whole search is
+    exhausted: a proof of non-isomorphism.  One node is charged per
+    individualization tried, on an explicit stack.
     """
     if g.n != h.n or g.num_edges != h.num_edges:
         return None
@@ -418,61 +440,42 @@ def are_isomorphic(
     n = g.n
     if n == 0:
         return ()
-    cg, ch = _refine_colors_jointly(g, h)
-    if sorted(cg) != sorted(ch):
-        return None
-
-    # vertex sets of h as Python-int bitsets (bit y = vertex y)
-    by_color: dict[tuple, int] = {}
-    for v in range(n):
-        by_color[ch[v]] = by_color.get(ch[v], 0) | 1 << v
+    dist_g, dist_h = all_pairs_distances(g), all_pairs_distances(h)
+    width = max(g.degrees())
+    table = np.concatenate((_neighbour_table(g, width, 0),
+                            _neighbour_table(h, width, n)))
     adj_h = [sum(1 << y for y in h.neighbors(v)) for v in range(n)]
-    # most-constrained-first: smallest candidate class, then highest degree
-    order = sorted(
-        range(n), key=lambda v: (by_color[cg[v]].bit_count(), -g.degree(v), v)
-    )
-    mapping: list[int] = [-1] * n
-    used = 0
+    frames: list[tuple[np.ndarray, int, Iterator[int]]] = []
 
-    def candidates(pos: int):
-        # the unused images for order[pos], in ascending order, adjacent to
-        # the images of its mapped neighbours (``want``) and to no other
-        # image; the vertices mapped are those of positions 0..pos-1
-        # whenever the search asks this frame for its next candidate
-        x = order[pos]
-        cand = by_color[cg[x]] & ~used
-        want = 0
-        for x2 in g.neighbors(x):
-            y2 = mapping[x2]
-            if y2 >= 0:
-                cand &= adj_h[y2]
-                want |= 1 << y2
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            y = low.bit_length() - 1
-            if adj_h[y] & used == want:
-                yield y
+    def enter(colours: Optional[np.ndarray]) -> Optional[tuple[int, ...]]:
+        """Push the branches of a refined colouring, or return the
+        bijection of a discrete one if it preserves adjacency."""
+        if colours is None:
+            return None
+        sizes = np.bincount(colours[:n])
+        if len(sizes) < n:
+            cls = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
+            x = int(np.flatnonzero(colours[:n] == cls)[0])
+            frames.append((colours, x, iter(np.flatnonzero(colours[n:] == cls).tolist())))
+            return None
+        vertex_of = np.empty(n, dtype=np.intp)
+        vertex_of[colours[n:]] = np.arange(n)
+        mapping = vertex_of[colours[:n]].tolist()
+        for u in range(n):
+            if sum(1 << mapping[w] for w in g.neighbors(u)) != adj_h[mapping[u]]:
+                return None
+        return tuple(mapping)
 
-    # an explicit stack of candidate iterators, one per mapped position;
-    # one node charged per position entered
-    if not budget.charge():
-        return TIMEOUT
-    frames = [candidates(0)]
-    while frames:
-        x = order[len(frames) - 1]
-        if mapping[x] >= 0:
-            used ^= 1 << mapping[x]
-            mapping[x] = -1
-        y = next(frames[-1], None)
+    rows = np.sort(np.concatenate((dist_g, dist_h)), axis=1)
+    mapping = enter(_refine(_renumber(rows), table))
+    while mapping is None and frames:
+        colours, x, candidates = frames[-1]
+        y = next(candidates, None)
         if y is None:
             frames.pop()
             continue
-        mapping[x] = y
-        used |= 1 << y
-        if len(frames) == n:
-            return tuple(mapping)
         if not budget.charge():
             return TIMEOUT
-        frames.append(candidates(len(frames)))
-    return None
+        split = np.column_stack((colours, np.concatenate((dist_g[x], dist_h[y]))))
+        mapping = enter(_refine(_renumber(split), table))
+    return mapping

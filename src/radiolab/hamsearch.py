@@ -4,10 +4,13 @@ powers of Hamiltonian cycles, plus arithmetic sufficient-condition checks.
 The searches are complete: ``None`` is returned only after the whole
 search space has been exhausted, so callers may treat it as a proof of
 non-existence.  An exhausted node budget yields :data:`TIMEOUT` instead.
-One exact window-ordering search stands behind Hamiltonian paths (after a
-constructive rotation-extension attempt), cycle powers and the cage
-labelings.  Results are deterministic: it tries fewest onward candidates
-first, ties by index.
+One exact window-ordering search stands behind Hamiltonian paths, cycle
+powers and the cage labelings.  Hamiltonian paths try a constructive
+rotation-extension path first, then two root rules that prove absence
+without search nodes (more than two degree-one vertices; a vertex whose
+removal leaves three components, found by one lowpoint depth-first
+search).  Results are deterministic: the window search tries fewest
+onward candidates first, ties by index.
 """
 
 from __future__ import annotations
@@ -98,9 +101,12 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
     that table, taken to be symmetric (adjacency rows are; the cages tie
     their last point and first line through a second table and skip this
     rule).  The unplaced vertices must then induce a connected subgraph of
-    it: checked at the root, and after each placement by a bitset search
-    unless the placed vertex has at most one unplaced neighbour in the
-    table, whose removal cannot disconnect a connected set.
+    it: checked at the root, and after each placement c.  The unplaced
+    set was connected with c in it, so every unplaced vertex reaches an
+    unplaced neighbour of c without passing through c; when those
+    neighbours induce a connected subgraph, so does the whole unplaced
+    set.  Only when they do not does a bitset search over the whole set
+    decide.
 
     An explicit stack, one node charged per placement.  Returns the
     ordering or None (search space exhausted); raises BudgetExhausted.
@@ -152,7 +158,7 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
         free &= ~(1 << c)
         if len(order) == size:
             return order
-        if (chain is not None and (chain[c] & free).bit_count() > 1
+        if (chain is not None and not _connected(chain[c] & free, chain)
                 and not _connected(free, chain)):
             free |= 1 << order.pop()
             continue
@@ -223,9 +229,52 @@ def _rotation_extension_path(g: Graph) -> list[int] | None:
     return path
 
 
+def _splits_three_ways(g: Graph) -> bool:
+    """Whether removing some vertex splits its component into three or
+    more pieces: one iterative lowpoint depth-first search.
+
+    Removing u cuts off each child subtree of u whose lowpoint does not
+    reach above u; unless u is a root, one more piece holds its parent."""
+    order = [-1] * g.n
+    low = [0] * g.n
+    pieces = [0] * g.n
+    count = 0
+    for root in range(g.n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        pieces[root] = -1  # no piece holds the root's parent
+        stack = [(root, iter(g.neighbors(root)))]
+        while stack:
+            v, rest = stack[-1]
+            w = next(rest, None)
+            if w is None:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= order[u]:
+                        pieces[u] += 1
+                        if pieces[u] >= 2:
+                            return True
+            elif order[w] < 0:
+                order[w] = low[w] = count
+                count += 1
+                stack.append((w, iter(g.neighbors(w))))
+            else:
+                low[v] = min(low[v], order[w])
+    return False
+
+
 def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
     """A Hamiltonian path certificate, None (proof of non-existence), or
-    TIMEOUT when the node budget runs out first."""
+    TIMEOUT when the node budget runs out first.
+
+    Two root rules answer None without search: more than two vertices of
+    degree one, and, once the constructive attempt has failed, a vertex
+    whose removal leaves three or more components (removing one vertex
+    from a Hamiltonian path leaves at most two subpaths)."""
     n = g.n
     degree_one = [v for v in range(n) if g.degree(v) == 1]
     if len(degree_one) > 2:
@@ -234,6 +283,8 @@ def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
     constructed = _rotation_extension_path(g)
     if constructed is not None:
         return PathCertificate(tuple(constructed), "path")
+    if _splits_three_ways(g):
+        return None
 
     adjacency = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
     everyone = (1 << n) - 1

@@ -176,6 +176,19 @@ def test_label_singer_transports_to_isomorphic_graph(tmp_path, capsys):
     assert rl.verify(g, lab) == []
 
 
+def test_label_singer_reaches_erq7_with_the_default_budget(tmp_path, capsys):
+    graph_file = str(tmp_path / "erq7.el")
+    labels_file = str(tmp_path / "erq7.lab.json")
+    run(capsys, "construct", "erq", "7", "-o", graph_file)
+    code, _, _ = run(capsys, "label", graph_file, "--method", "singer", "-o", labels_file)
+    assert code == 0
+    _, _, lab = rl.labeling_from_json(open(labels_file).read())
+    assert lab.span == 57
+    code, out, _ = run(capsys, "verify", graph_file, labels_file)
+    assert code == 0
+    assert out.startswith("OK")
+
+
 def test_label_singer_complement_method(tmp_path, capsys):
     graph_file = str(tmp_path / "s2c.el")
     labels_file = str(tmp_path / "labels.json")

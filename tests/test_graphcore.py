@@ -319,10 +319,78 @@ def test_isomorphism_singer_vs_polarity(q):
     assert mapping is not None
 
 
-@pytest.mark.parametrize("seed", range(6))
+def _assert_isomorphism(g, h, mapping):
+    assert sorted(mapping) == list(range(g.n))
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert g.is_edge(u, v) == h.is_edge(mapping[u], mapping[v])
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_isomorphism_singer_vs_polarity_within_budget(q):
+    s, e = rl.singer_graph(q), rl.erdos_renyi_polarity(q)
+    for g, h in ((s, e), (complement(s), complement(e))):
+        mapping = are_isomorphic(g, h, rl.SearchBudget(2000))
+        assert mapping is not None and mapping is not rl.TIMEOUT
+        _assert_isomorphism(g, h, mapping)
+
+
+def _rook_and_shrikhande():
+    """Two strongly regular graphs with parameters (16, 6, 2, 2): colour
+    refinement alone cannot tell them apart."""
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    rook = Graph(16, [(i, j) for i, (a, b) in enumerate(cells)
+                      for j, (c, d) in enumerate(cells)
+                      if i < j and (a == c) != (b == d)])
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    shrikhande = Graph(16, [(i, j) for i, (a, b) in enumerate(cells)
+                            for j, (c, d) in enumerate(cells)
+                            if i < j and ((c - a) % 4, (d - b) % 4) in steps])
+    return rook, shrikhande
+
+
+def test_isomorphism_rook_vs_shrikhande_is_exhausted():
+    rook, shrikhande = _rook_and_shrikhande()
+    assert rook.degrees() == shrikhande.degrees() == [6] * 16
+    budget = rl.SearchBudget(10**4)
+    assert are_isomorphic(rook, shrikhande, budget) is None
+    # 16 images of vertex 0, each with the 6 images of its least neighbour
+    # pruned at once: the common neighbours of an edge are adjacent in the
+    # rook's graph and not in Shrikhande's
+    assert budget.spent == 16 * 7
+
+
+def test_isomorphism_none_only_between_atlas_classes(atlas6):
+    # the atlas lists each isomorphism class once: distinct entries are
+    # never isomorphic, and each maps to a relabelled copy of itself
+    rng = random.Random(41)
+    for i, g in enumerate(atlas6):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        _assert_isomorphism(g, h, are_isomorphic(g, h))
+        for other in atlas6[i + 1:]:
+            assert are_isomorphic(g, other) is None
+
+
+def test_isomorphism_leaf_check_alone_keeps_answers_exact(atlas6, monkeypatch):
+    # a discrete colouring that refinement leaves stable is always an
+    # isomorphism; with refinement switched off, the adjacency check at
+    # the leaves must reject the bijections that are not
+    def balanced(colours, table):
+        n = len(colours) // 2
+        sizes = [np.bincount(half, minlength=colours.max() + 1)
+                 for half in (colours[:n], colours[n:])]
+        return colours if np.array_equal(*sizes) else None
+
+    monkeypatch.setattr(rl.graphcore, "_refine", balanced)
+    test_isomorphism_none_only_between_atlas_classes(atlas6)
+
+
+@pytest.mark.parametrize("seed", range(12))
 def test_isomorphism_relabelled_random_graphs(seed):
     rng = random.Random(40 + seed)
-    g = random_connected_graph(rng.randint(5, 24), 0.3, rng)
+    g = random_connected_graph(rng.randint(5, 40), 0.3, rng)
     perm = list(range(g.n))
     rng.shuffle(perm)
     h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
@@ -333,26 +401,27 @@ def test_isomorphism_relabelled_random_graphs(seed):
 
 
 def test_isomorphism_timeout_sentinel():
-    # two large circulants, budget too small to even start mapping
+    # a long cycle and a shift of it: refinement cannot split the single
+    # class, and two individualizations make the colouring discrete
     g = rl.cycle(40)
     h = Graph(40, [((u + 7) % 40, (v + 7) % 40) for u, v in rl.cycle(40).edges()])
     assert are_isomorphic(g, h, deadline=1) is rl.TIMEOUT
     budget = rl.SearchBudget(10**6)
     mapping = are_isomorphic(g, h, budget)
-    assert budget.spent == 40
+    assert budget.spent == 2
     assert sorted(mapping) == list(range(40))
     assert all(h.is_edge(mapping[u], mapping[v]) for u, v in g.edges())
 
 
 def test_isomorphism_long_cycle_has_no_recursion_limit():
-    # one mapped position per vertex on an explicit stack: 1200 positions
-    # used to overflow the interpreter's recursion limit
+    # the search keeps its branches on an explicit stack; 1200 positions
+    # once overflowed the interpreter's recursion limit
     n = 1200
     g = rl.cycle(n)
     h = Graph(n, [((u + 7) % n, (v + 7) % n) for u, v in g.edges()])
     budget = rl.SearchBudget(10**6)
     mapping = are_isomorphic(g, h, budget)
-    assert budget.spent == n
+    assert budget.spent == 2
     assert sorted(mapping) == list(range(n))
     assert all(h.is_edge(mapping[u], mapping[v]) for u, v in g.edges())
 

@@ -19,10 +19,14 @@ from radiolab import (
     verify_certificate,
 )
 
+from radiolab.budget import BudgetExhausted
+from radiolab.hamsearch import _bits, _connected, _splits_three_ways, _window_ordering
+
 from conftest import (
     brute_has_ham_cycle,
     brute_has_ham_path,
     random_connected_graph,
+    random_graph,
 )
 
 
@@ -98,6 +102,121 @@ def test_three_cycles_at_a_cut_vertex_are_not_traceable():
     g = _cycles_at_a_vertex((150, 150, 150))
     assert g.n == 448
     assert find_hamiltonian_path(g, deadline=10**5) is None
+
+
+def test_three_long_cycles_at_a_cut_vertex_cost_no_search_node():
+    g = _cycles_at_a_vertex((600, 600, 600))
+    budget = rl.SearchBudget(10**7)
+    assert find_hamiltonian_path(g, budget) is None
+    assert budget.spent == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_three_way_cut_vertex_matches_vertex_removal(seed):
+    rng = random.Random(7200 + seed)
+    for _ in range(40):
+        g = random_graph(rng.randint(1, 14), rng.uniform(0.05, 0.4), rng)
+        splits = any(
+            len(components(g.induced_subgraph([u for u in comp if u != v]))) >= 3
+            for comp in components(g) for v in comp
+        )
+        assert _splits_three_ways(g) == splits
+
+
+def _window_ordering_full_bfs(rows, constraints, allowed, budget):
+    """Reference for the connectivity pre-test: the window search with one
+    bitset search over the whole unplaced set after each placement of a
+    vertex with two or more unplaced neighbours in the chain table."""
+    size = len(allowed)
+    order = []
+    free = 0
+    for mask in allowed:
+        free |= mask
+    ties = [{t for j, t in constraints[k] if j == k - 1} for k in range(1, size)]
+    chain = None
+    if ties and free.bit_count() == size:
+        chain = next((rows[t] for t in ties[0] if all(t in s for s in ties)), None)
+    if chain is not None and not _connected(free, chain):
+        return None
+
+    def ranked(k):
+        cand = allowed[k] & free
+        for j, t in constraints[k]:
+            cand &= rows[t][order[j]]
+        if k + 1 == size:
+            return _bits(cand)
+        base = allowed[k + 1] & free
+        links = [rows[t] for j, t in constraints[k + 1] if j == k]
+        for j, t in constraints[k + 1]:
+            if j < k:
+                base &= rows[t][order[j]]
+        scored = []
+        for c in _bits(cand):
+            onward = base & ~(1 << c)
+            for table in links:
+                onward &= table[c]
+            if onward:
+                scored.append((onward.bit_count(), c))
+        scored.sort()
+        return [c for _, c in scored]
+
+    frames = [iter(ranked(0))]
+    while frames:
+        c = next(frames[-1], None)
+        if c is None:
+            frames.pop()
+            if order:
+                free |= 1 << order.pop()
+            continue
+        if not budget.charge():
+            raise BudgetExhausted
+        order.append(c)
+        free &= ~(1 << c)
+        if len(order) == size:
+            return order
+        if (chain is not None and (chain[c] & free).bit_count() > 1
+                and not _connected(free, chain)):
+            free |= 1 << order.pop()
+            continue
+        frames.append(iter(ranked(len(order))))
+    return None
+
+
+def _window_run(search, g, power, nodes):
+    """The ordering and node count of a path (power 0) or cycle-power
+    window search over g's adjacency rows; TIMEOUT past ``nodes``."""
+    n = g.n
+    adjacency = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    if power == 0:
+        constraints = [[]] + [[(k - 1, 0)] for k in range(1, n)]
+    else:
+        constraints = [[(j, 0) for j in range(max(0, k - power), k)]
+                       + [(j, 0) for j in range(min(k + power - n + 1, k - power))]
+                       for k in range(n)]
+    budget = rl.SearchBudget(nodes)
+    try:
+        order = search([adjacency], constraints, [(1 << n) - 1] * n, budget)
+    except BudgetExhausted:
+        order = TIMEOUT
+    return order, budget.spent
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_connectivity_pretest_keeps_every_node_count(seed):
+    rng = random.Random(7400 + seed)
+    for _ in range(12):
+        g = random_graph(rng.randint(6, 22), rng.uniform(0.1, 0.45), rng)
+        for power in (0, 1, 2):
+            assert (_window_run(_window_ordering, g, power, 3000)
+                    == _window_run(_window_ordering_full_bfs, g, power, 3000))
+
+
+def test_connectivity_pretest_keeps_the_long_square_search():
+    n = 1200
+    g = Graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+    got = _window_run(_window_ordering, g, 2, 10**4)
+    assert got == _window_run(_window_ordering_full_bfs, g, 2, 10**4)
+    assert got[1] == 1204
 
 
 def test_disconnected_graph_costs_no_search_node():
