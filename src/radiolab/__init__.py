@@ -80,7 +80,6 @@ from .hamsearch import (
     dirac_hamiltonian_path,
     find_cycle_power,
     find_hamiltonian_path,
-    sufficient_conditions,
     verify_certificate,
 )
 from .radio import (

@@ -27,6 +27,7 @@ from .graphcore import (
 )
 from .hamsearch import PathCertificate, find_hamiltonian_path, verify_certificate
 from .radio import (
+    ORACLE_VERTEX_LIMIT,
     RadioLabeling,
     label_from_antipodal_path,
     label_hexagon_cage,
@@ -247,7 +248,8 @@ def cmd_label(args) -> int:
 
 def cmd_verify(args) -> int:
     g = families.read_edge_list(args.graph)
-    n, diam, labeling = labeling_from_json(open(args.labels, encoding="ascii").read())
+    with open(args.labels, encoding="ascii") as fh:
+        n, diam, labeling = labeling_from_json(fh.read())
     if n != g.n:
         print(f"labeling is for {n} vertices, graph has {g.n}", file=sys.stderr)
         return EXIT_USAGE
@@ -291,7 +293,8 @@ def cmd_radio_number(args) -> int:
 
 def cmd_check_sequence(args) -> int:
     g = families.read_edge_list(args.graph)
-    tokens = open(args.sequence, encoding="ascii").read().split()
+    with open(args.sequence, encoding="ascii") as fh:
+        tokens = fh.read().split()
     try:
         seq = [int(t) for t in tokens]
     except ValueError:
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radio-number", help="exact radio number (small graphs)")
     p.add_argument("graph")
-    p.add_argument("--limit", type=int, default=12, help="vertex limit")
+    p.add_argument("--limit", type=int, default=ORACLE_VERTEX_LIMIT, help="vertex limit")
     p.add_argument("-o", "--out", help="write an optimal labeling file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_radio_number)

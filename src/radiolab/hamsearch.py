@@ -1,5 +1,5 @@
 """Exact, deadline-bounded searches for Hamiltonian paths and for l-th
-powers of Hamiltonian cycles, plus arithmetic sufficient-condition checks.
+powers of Hamiltonian cycles.
 
 The searches are complete: ``None`` is returned only after the whole
 search space has been exhausted, so callers may treat it as a proof of
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
 from .errors import BadPermutation, PreconditionFailed
-from .graphcore import Graph, bipartition, regularity
+from .graphcore import Graph
 
 __all__ = [
     "PathCertificate",
@@ -27,7 +27,6 @@ __all__ = [
     "find_cycle_power",
     "dirac_hamiltonian_path",
     "verify_certificate",
-    "sufficient_conditions",
 ]
 
 
@@ -44,8 +43,8 @@ class PathCertificate:
 
 
 def verify_certificate(g: Graph, cert: PathCertificate) -> bool:
-    """Check a certificate against a graph; used verbatim on stored
-    benchmark sequences as well as on freshly found ones."""
+    """Check a certificate against a graph, a cycle power below 1 being a
+    ValueError; used verbatim on stored sequences and on found ones."""
     if sorted(cert.ordering) != list(range(g.n)):
         raise BadPermutation("ordering is not a permutation of the vertex set")
     order = cert.ordering
@@ -53,6 +52,8 @@ def verify_certificate(g: Graph, cert: PathCertificate) -> bool:
     if cert.kind == "path":
         return all(g.is_edge(order[i], order[i + 1]) for i in range(n - 1))
     if cert.kind == "cycle_power":
+        if cert.power < 1:
+            raise ValueError("power must be >= 1")
         return n >= 3 and all(
             g.is_edge(order[i], order[(i + d) % n])
             for i in range(n) for d in range(1, min(cert.power, n - 1) + 1)
@@ -381,57 +382,3 @@ def find_cycle_power(
     if order is None:
         return None
     return PathCertificate(tuple(order), "cycle_power", power)
-
-
-# ---------------------------------------------------------------------------
-# arithmetic sufficient conditions
-
-
-def sufficient_conditions(g: Graph, powers: tuple[int, ...] = (2, 3, 4)) -> dict:
-    """Degree/part arithmetic for the classic traceability guarantees.
-
-    A holding condition implies the corresponding structure exists but the
-    report never replaces a search: searches produce the certificates.
-    Comparisons are exact integer cross-multiplications.
-    """
-    n = g.n
-    degs = g.degrees()
-    dmin = min(degs) if degs else 0
-    report: dict = {
-        # Dirac: min degree >= (n-1)/2 forces a Hamiltonian path
-        "dirac_path": {
-            "holds": n >= 1 and 2 * dmin >= n - 1,
-            "min_degree": dmin,
-            "vertices": n,
-        },
-        # Fan-Haggkvist: min degree >= 5n/7 forces the square of a
-        # Hamiltonian cycle
-        "square_cycle": {
-            "holds": n >= 3 and 7 * dmin >= 5 * n,
-            "min_degree": dmin,
-            "vertices": n,
-        },
-    }
-    # Moon-Moser corollary: an r-regular bipartite graph with equal part
-    # size m < 2r has a Hamiltonian path
-    r = regularity(g)
-    parts = bipartition(g)
-    applicable = r is not None and parts is not None and n > 0
-    m = sum(parts) if parts else 0
-    applicable = applicable and 2 * m == n
-    report["regular_bipartite_path"] = {
-        "applicable": applicable,
-        "holds": bool(applicable and m < 2 * r),
-        "degree": r if applicable else None,
-        "part_size": m if applicable else None,
-    }
-    # min degree >= (4l-1)n/4l forces the l-th power of a Hamiltonian cycle
-    report["cycle_power"] = {
-        ell: {
-            "holds": n >= 3 and 4 * ell * dmin >= (4 * ell - 1) * n,
-            "min_degree": dmin,
-            "vertices": n,
-        }
-        for ell in powers
-    }
-    return report

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .hamsearch import (
     _window_ordering,
     dirac_hamiltonian_path,
     find_hamiltonian_path,
-    verify_certificate,
 )
 
 __all__ = [
@@ -245,38 +244,18 @@ def _cage_parts(g: Graph) -> tuple[list[int], list[int]]:
     return side0, side1
 
 
-def _supplied_cycle(a: Graph, vertices: list[int], power: int, supplied):
-    """A supplied cycle power of the antipodal component ``vertices`` of
-    ``a``, checked by :func:`verify_certificate`; closing repeat dropped."""
-    seq = list(supplied)
-    if len(seq) > 1 and seq[0] == seq[-1]:
-        seq = seq[:-1]
-    index = {v: i for i, v in enumerate(vertices)}
-    try:
-        local = [index[v] for v in seq]
-    except KeyError as exc:
-        raise BadCertificate(f"vertex {exc} not in this component") from None
-    cert = PathCertificate(tuple(local), "cycle_power", power)
-    if not verify_certificate(a.induced_subgraph(vertices), cert):
-        raise BadCertificate("supplied ordering is not a valid cycle power")
-    return seq
-
-
 def _bit_rows(mask: np.ndarray) -> list[int]:
     """Row v of a boolean matrix as a Python-int bitset (bit w = column w)."""
     packed = np.packbits(mask, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _label_cage(g: Graph, deadline, diam: int, want_girth: int, point_cycle,
-                line_cycle):
+def _label_cage(g: Graph, deadline, diam: int, want_girth: int):
     """Span-(2m+1) labeling of a cage whose antipodal components are its
     parts: points get labels 1..m and lines m+2..2m+1, in the order one
     exact window search finds.  Position k needs distance >= diam+1-g to
     each earlier position whose label is g < diam below its own, the pairs
-    across the skipped label m+1 included.  A supplied point cycle pins the
-    points; a supplied line cycle makes each line the cycle successor of
-    the previous one, so the search picks the rotation point."""
+    across the skipped label m+1 included."""
     side0, side1 = _cage_parts(g)
     if len(side0) != len(side1):
         raise PreconditionFailed("parts have different sizes")
@@ -288,8 +267,7 @@ def _label_cage(g: Graph, deadline, diam: int, want_girth: int, point_cycle,
     g_girth = girth(g)
     if g_girth != want_girth:
         raise PreconditionFailed(f"girth is {g_girth}, need {want_girth}")
-    a = antipodal(g)
-    if sorted(components(a)) != sorted([side0, side1]):
+    if sorted(components(antipodal(g))) != sorted([side0, side1]):
         raise PreconditionFailed("antipodal components do not match the two parts")
 
     m = len(side0)
@@ -301,17 +279,6 @@ def _label_cage(g: Graph, deadline, diam: int, want_girth: int, point_cycle,
     constraints = [[(j, diam + 1 - label[k] + label[j])
                     for j in range(max(0, k - diam), k) if label[k] - label[j] < diam]
                    for k in range(2 * m)]
-    if point_cycle is not None:
-        seq = _supplied_cycle(a, side0, diam - 2, point_cycle)
-        allowed[:m] = [1 << v for v in seq]
-    if line_cycle is not None:
-        seq = _supplied_cycle(a, side1, diam - 2, line_cycle)
-        successor = [0] * g.n
-        for v, w in zip(seq, seq[1:] + seq[:1]):
-            successor[v] = 1 << w
-        rows["next"] = successor
-        for k in range(m + 1, 2 * m):
-            constraints[k].append((k - 1, "next"))
 
     try:
         order = _window_ordering(rows, constraints, allowed, as_budget(deadline))
@@ -326,36 +293,23 @@ def _label_cage(g: Graph, deadline, diam: int, want_girth: int, point_cycle,
     return labeling
 
 
-def label_quadrangle_cage(
-    g: Graph,
-    deadline: int | SearchBudget | None = None,
-    point_cycle: Optional[Sequence[int]] = None,
-    line_cycle: Optional[Sequence[int]] = None,
-):
+def label_quadrangle_cage(g: Graph, deadline: int | SearchBudget | None = None):
     """Span-(2m+1) radio labeling of a (q+1,8)-cage (m = vertices per part).
 
     One exact window search orders the points (labels 1..m), then the
     lines (labels m+2..2m+1), so that every pair fewer than 4 labels
-    apart lies at the distance its label gap needs.  Supplied squares of
-    Hamiltonian cycles of the antipodal components are checked, then pin
-    the search.  Returns TIMEOUT when the node budget runs out first.
+    apart lies at the distance its label gap needs.  Returns TIMEOUT when
+    the node budget runs out first.
     """
-    return _label_cage(g, deadline, 4, 8, point_cycle, line_cycle)
+    return _label_cage(g, deadline, 4, 8)
 
 
-def label_hexagon_cage(
-    g: Graph,
-    deadline: int | SearchBudget | None = None,
-    point_cycle: Optional[Sequence[int]] = None,
-    line_cycle: Optional[Sequence[int]] = None,
-):
+def label_hexagon_cage(g: Graph, deadline: int | SearchBudget | None = None):
     """Span-(2m+1) radio labeling of a (q+1,12)-cage, by the same exact
     window search as :func:`label_quadrangle_cage` with a window of 5
-    labels; supplied cycles are 4th powers of Hamiltonian cycles of the
-    antipodal components.  Returns TIMEOUT when the node budget runs out
-    first.
+    labels.  Returns TIMEOUT when the node budget runs out first.
     """
-    return _label_cage(g, deadline, 6, 12, point_cycle, line_cycle)
+    return _label_cage(g, deadline, 6, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -734,10 +688,17 @@ def labeling_to_json(g: Graph, labeling: RadioLabeling) -> str:
 def labeling_from_json(text: str) -> tuple[int, int, RadioLabeling]:
     """Parse the labeling format; returns (n, diameter, labeling)."""
     payload = json.loads(text)
-    labels = tuple(int(x) for x in payload["labels"])
-    labeling = RadioLabeling(labels)
-    if payload.get("n") != len(labels):
+    if not isinstance(payload, dict):
+        raise ValueError("labeling file: not a JSON object")
+    missing = sorted({"diameter", "labels", "n", "span"} - payload.keys())
+    if missing:
+        raise ValueError(f"labeling file: missing {', '.join(missing)}")
+    labels, diam = payload["labels"], payload["diameter"]
+    if not isinstance(labels, list) or not all(isinstance(x, int) for x in [diam, *labels]):
+        raise ValueError("labeling file: labels and diameter must be integers")
+    labeling = RadioLabeling(tuple(labels))
+    if payload["n"] != len(labels):
         raise ValueError("labeling file: n does not match labels length")
-    if payload.get("span") != labeling.span:
+    if payload["span"] != labeling.span:
         raise ValueError("labeling file: span does not match labels")
-    return len(labels), int(payload["diameter"]), labeling
+    return len(labels), diam, labeling

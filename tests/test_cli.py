@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,42 @@ def test_verify_rejects_mismatched_diameter(tmp_path, capsys):
     assert run(capsys, "verify", graph_file, str(labels_file))[0] == 3
 
 
+@pytest.mark.parametrize("body", [
+    "{}",
+    "[]",
+    '{"n":6,"labels":null,"span":1,"diameter":3}',
+    '{"n":6,"labels":[1,3,5,7,9,11],"span":11}',
+    '{"n":1,"labels":[null],"span":1,"diameter":3}',
+], ids=["empty-object", "array", "null-labels", "no-diameter", "null-label"])
+def test_verify_rejects_malformed_labeling_file(tmp_path, capsys, body):
+    graph_file = str(tmp_path / "c6.el")
+    labels_file = tmp_path / "bad.json"
+    run(capsys, "construct", "cycle", "6", "-o", graph_file)
+    labels_file.write_text(body)
+    src = str(Path(rl.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "radiolab", "verify", graph_file, str(labels_file)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: labeling file")
+    assert "Traceback" not in proc.stderr
+
+
+def test_file_reading_commands_close_their_files(tmp_path, capsys):
+    graph_file = str(tmp_path / "c4.el")
+    labels_file = tmp_path / "c4.json"
+    seq_file = tmp_path / "seq.txt"
+    run(capsys, "construct", "cycle", "4", "-o", graph_file)
+    labels_file.write_text('{"n":4,"diameter":2,"labels":[1,3,5,7],"span":7}')
+    seq_file.write_text("0 1 2 3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(capsys, "verify", graph_file, str(labels_file))[0] == 0
+        assert run(capsys, "check-sequence", graph_file, str(seq_file))[0] == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_radio_number_command(tmp_path, capsys):
     graph_file = str(tmp_path / "c4.el")
     run(capsys, "construct", "cycle", "4", "-o", graph_file)
@@ -345,6 +382,21 @@ def test_check_sequence_usage_errors(tmp_path, capsys):
     assert run(capsys, "check-sequence", graph_file, str(seq_file), "--power", "2")[0] == 3
     seq_file.write_text("0 1 99 3\n")
     assert run(capsys, "check-sequence", graph_file, str(seq_file))[0] == 3
+
+
+def test_check_sequence_rejects_power_below_one(tmp_path, capsys):
+    # 0 2 4 1 3 5 is no Hamiltonian cycle of C6: --power below 1 must not
+    # pass it vacuously
+    graph_file = str(tmp_path / "c6.el")
+    run(capsys, "construct", "cycle", "6", "-o", graph_file)
+    seq_file = tmp_path / "seq.txt"
+    seq_file.write_text("0 2 4 1 3 5 0\n")
+    code, out, _ = run(capsys, "check-sequence", graph_file, str(seq_file), "--power", "1")
+    assert (code, out.strip()) == (1, "false")
+    for power in ("0", "-3"):
+        code, out, err = run(capsys, "check-sequence", graph_file, str(seq_file),
+                             "--power", power)
+        assert (code, out) == (3, "") and err == "error: power must be >= 1\n"
 
 
 def test_parse_error_maps_to_usage_exit(tmp_path, capsys):

@@ -15,7 +15,6 @@ from radiolab import (
     dirac_hamiltonian_path,
     find_cycle_power,
     find_hamiltonian_path,
-    sufficient_conditions,
     verify_certificate,
 )
 
@@ -230,8 +229,7 @@ def test_disconnected_graph_costs_no_search_node():
 
 def test_dirac_guarantee_small(atlas7):
     for g in atlas7:
-        report = sufficient_conditions(g)
-        if report["dirac_path"]["holds"]:
+        if 2 * min(g.degrees()) >= g.n - 1:
             cert = find_hamiltonian_path(g)
             assert isinstance(cert, PathCertificate)
 
@@ -251,6 +249,17 @@ def test_cycle_power_complete_graph():
     assert isinstance(cert, PathCertificate)
     assert cert.kind == "cycle_power" and cert.power == 2
     assert verify_certificate(k5, cert)
+
+
+@pytest.mark.parametrize("power", [0, -3])
+def test_verify_certificate_rejects_power_below_one(power):
+    # 0 2 4 1 3 5 is no Hamiltonian cycle of C6; with no power >= 1 to
+    # check, the certificate would otherwise pass vacuously
+    c6 = rl.cycle(6)
+    cert = PathCertificate((0, 2, 4, 1, 3, 5), "cycle_power", power)
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        verify_certificate(c6, cert)
+    assert not verify_certificate(c6, PathCertificate(cert.ordering, "cycle_power", 1))
 
 
 def test_cycle_power_degree_obstruction():
@@ -366,46 +375,6 @@ def test_dirac_constructive_path():
 def test_dirac_constructive_rejects_sparse():
     with pytest.raises(PreconditionFailed):
         dirac_hamiltonian_path(rl.cycle(6))
-
-
-def test_sufficient_conditions_polarity_complement():
-    # complement of the order-3 polarity graph: minimum degree 8 on 13
-    # vertices clears the (n-1)/2 bound
-    report = sufficient_conditions(complement(rl.erdos_renyi_polarity(3)))
-    assert report["dirac_path"]["holds"]
-    assert report["dirac_path"]["min_degree"] == 8
-
-
-@pytest.mark.parametrize("q,holds", [(2, False), (3, False), (4, True)])
-def test_sufficient_conditions_square_cycle_threshold(q, holds):
-    # antipodal components of the girth-8 cages are q^3-regular on
-    # (q+1)(q^2+1) vertices; 5n/7 is cleared exactly for q > 3
-    n = (q + 1) * (q * q + 1)
-    d = q**3
-    assert (7 * d >= 5 * n) == holds
-    if q <= 3:
-        g = rl.generalized_quadrangle_incidence(q)
-        a = antipodal(g)
-        sub = a.induced_subgraph(components(a)[0])
-        assert sufficient_conditions(sub)["square_cycle"]["holds"] == holds
-
-
-def test_sufficient_conditions_fourth_power_threshold():
-    # hexagon antipodal components: q^5-regular on (q^3+1)(q^2+q+1)
-    # vertices; the 15n/16 bound needs q > 15
-    for q, holds in ((2, False), (15, False), (16, True), (17, True)):
-        n = (q**3 + 1) * (q * q + q + 1)
-        d = q**5
-        assert (16 * d >= 15 * n) == holds
-
-
-def test_sufficient_conditions_regular_bipartite():
-    g = rl.projective_plane_incidence(3)
-    a = antipodal(g)
-    report = sufficient_conditions(a)
-    assert report["regular_bipartite_path"]["applicable"]
-    assert report["regular_bipartite_path"]["holds"]  # m=13 < 2*9
-    assert not sufficient_conditions(rl.petersen())["regular_bipartite_path"]["applicable"]
 
 
 def test_every_returned_certificate_verifies(atlas6):

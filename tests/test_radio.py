@@ -258,22 +258,6 @@ def test_quadrangle_cage_rejects_wrong_shape():
         label_quadrangle_cage(rl.petersen())
 
 
-def test_quadrangle_cage_accepts_supplied_cycles():
-    g = rl.builtin_graph("cage-3-8")
-    pts = rl.builtin_sequence("cage-3-8-points")
-    lns = rl.builtin_sequence("cage-3-8-lines")
-    lab = label_quadrangle_cage(g, point_cycle=pts, line_cycle=lns)
-    assert lab.span == 31
-    assert verify(g, lab) == []
-
-
-def test_quadrangle_cage_rejects_invalid_supplied_cycle():
-    g = rl.builtin_graph("cage-3-8")
-    bad = list(range(15))  # index order is not a cycle square
-    with pytest.raises(BadCertificate):
-        label_quadrangle_cage(g, point_cycle=bad)
-
-
 def test_quadrangle_cage_timeout():
     g = rl.builtin_graph("cage-4-8")
     assert label_quadrangle_cage(g, deadline=1) is TIMEOUT
@@ -306,17 +290,6 @@ def test_cage_window_search_reaches_rn(case, nodes):
     assert lab.span == g.n + 1  # the bipartite-even-diameter bound, so rn
     assert verify(g, lab) == []
     assert budget.spent == nodes <= 3 * g.n
-
-
-def test_cage_supplied_cycles_pin_the_search():
-    # fixed point and line orders leave one choice: the rotation point
-    g = rl.builtin_graph("cage-4-8")
-    budget = SearchBudget(10**6)
-    lab = label_quadrangle_cage(
-        g, budget, point_cycle=rl.builtin_sequence("cage-4-8-points"),
-        line_cycle=rl.builtin_sequence("cage-4-8-lines"))
-    assert lab.span == 81 and verify(g, lab) == []
-    assert budget.spent == g.n
 
 
 def test_hexagon_cage_rejects_non_bipartite():
