@@ -44,6 +44,7 @@ from .graphcore import (
     Graph,
     all_pairs_distances,
     antipodal,
+    antipodal_components,
     are_isomorphic,
     bipartite_moore_bound,
     bipartition,

@@ -11,17 +11,19 @@ from importlib import resources
 from itertools import product
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .errors import BadParams, LoopError, NotPrimePower, ParseError, UnsupportedOrder
 from .field import (
+    DifferenceSet,
     FieldSpec,
     field_add,
-    field_inv,
     field_mul,
     field_neg,
     make_field,
     singer_difference_set,
 )
-from .graphcore import Graph, diameter, girth, regularity
+from .graphcore import Graph, _bit_rows, diameter, girth, regularity
 
 __all__ = [
     "complete",
@@ -136,35 +138,38 @@ def _pg_points(q: int, ncoords: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _perps(
+def _orthogonality(
     f: FieldSpec,
     pts: list[tuple[int, ...]],
     form: Callable[[tuple[int, ...]], tuple[int, ...]],
-) -> list[set[int]]:
-    """For each point u, the indices of the points v with form(u).v = 0.
+) -> np.ndarray:
+    """Boolean matrix whose entry (i, j) says form(pts[i]) . pts[j] = 0.
 
-    The hyperplane is solved for the last nonzero coordinate c of w =
-    form(u), over the canonical points r of the remaining coordinates:
-    v_c = sum over i != c of (-w_i/w_c) r_i.  Each solution is canonical as
-    it stands: when r is zero before c, every w_i after c is zero, so v_c is
-    zero too and the leading 1 of r stays the leading coordinate of v.
+    The dot products of all pairs are accumulated one coordinate at a
+    time, by a gather from one table: ``step[(s*q + w)*q + x]`` is the
+    encoding of s + w*x.  Products come from the exp/log tables; sums add
+    the base-p digits of the encodings mod p.  The running N-by-N array
+    holds table indices, in the smallest dtype that holds q^3 - 1.
     """
-    index = {v: i for i, v in enumerate(pts)}
-    rests = _pg_points(f.q, len(pts[0]) - 1)
-    perps = []
-    for u in pts:
-        w = form(u)
-        c = max(i for i, x in enumerate(w) if x)
-        scale = field_neg(f, field_inv(f, w[c]))
-        coeffs = [field_mul(f, scale, x) for x in w[:c] + w[c + 1:]]
-        perp = set()
-        for rest in rests:
-            vc = 0
-            for a, b in zip(coeffs, rest):
-                vc = field_add(f, vc, field_mul(f, a, b))
-            perp.add(index[rest[:c] + (vc,) + rest[c:]])
-        perps.append(perp)
-    return perps
+    q, p = f.q, f.p
+    dtype = np.min_scalar_type(q**3 - 1)
+    values = np.arange(q)
+    add = np.zeros((q, q), dtype=np.intp)
+    for place in (p**i for i in range(f.k)):
+        digits = values // place % p
+        add += (digits[:, None] + digits) % p * place
+    log = np.asarray(f.log)
+    mul = np.asarray(f.exp)[log[:, None] + log]
+    mul[0, :] = mul[:, 0] = 0
+    step = add[:, mul].reshape(-1).astype(dtype)
+    points = np.array(pts, dtype=dtype)
+    scaled = np.array([form(u) for u in pts], dtype=dtype) * dtype.type(q)
+    dot = step[scaled[:, :1] + points[:, 0]]  # s = 0 for the first coordinate
+    for c in range(1, points.shape[1]):
+        dot *= dtype.type(q * q)
+        dot += scaled[:, c:c + 1] + points[:, c]
+        dot = step[dot]
+    return dot == 0
 
 
 def projective_plane_incidence(q: int) -> Graph:
@@ -177,8 +182,8 @@ def projective_plane_incidence(q: int) -> Graph:
     f = make_field(q)
     pts = _pg_points(q, 3)
     n = len(pts)
-    perp = _perps(f, pts, lambda u: u)
-    edges = [(i, n + j) for i in range(n) for j in sorted(perp[i])]
+    points, lines = np.nonzero(_orthogonality(f, pts, lambda u: u))
+    edges = zip(points.tolist(), (lines + n).tolist())
     return Graph(2 * n, edges, parts=[0] * n + [1] * n)
 
 
@@ -189,20 +194,24 @@ def generalized_quadrangle_incidence(q: int) -> Graph:
     (q+1)(q^2+1)); lines are the totally isotropic lines of the form
     x0*y1 - x1*y0 + x2*y3 - x3*y2, numbered N..2N-1 sorted by their point
     index tuples.  The line through orthogonal points x and y is {x,y}^perp,
-    the meet of their perps.  The construction is validated against the
+    the meet of their perps, taken as an AND of bitset rows; each distinct
+    meet is listed once.  The construction is validated against the
     expected regularity, diameter 4 and girth 8 before returning.
     """
     f = make_field(q)
     pts = _pg_points(q, 4)
     n = len(pts)
-    perp = _perps(
+    orth = _orthogonality(
         f, pts, lambda u: (field_neg(f, u[1]), u[0], field_neg(f, u[3]), u[2])
     )
-    lines = sorted(
-        {tuple(sorted(perp[i] & perp[j])) for i in range(n) for j in perp[i] if j > i}
-    )
-    if len(lines) != n:
-        raise AssertionError(f"W({q}): found {len(lines)} isotropic lines, wanted {n}")
+    perp = _bit_rows(orth)
+    first, second = np.nonzero(np.triu(orth, 1))
+    meets = {perp[i] & perp[j]: (i, j) for i, j in zip(first.tolist(), second.tolist())}
+    if len(meets) != n:
+        raise AssertionError(f"W({q}): found {len(meets)} isotropic lines, wanted {n}")
+    first, second = np.array(list(meets.values())).T
+    lines = sorted(map(tuple, np.nonzero(orth[first] & orth[second])[1]
+                       .reshape(n, q + 1).tolist()))
     edges = [(p, n + li) for li, line in enumerate(lines) for p in line]
     g = Graph(2 * n, edges, parts=[0] * n + [1] * n)
     if regularity(g) != q + 1:
@@ -217,15 +226,18 @@ def erdos_renyi_polarity(q: int) -> Graph:
     adjacent iff orthogonal; self-orthogonal (quadric) points carry no loop."""
     f = make_field(q)
     pts = _pg_points(q, 3)
-    perp = _perps(f, pts, lambda u: u)
-    edges = [(i, j) for i in range(len(pts)) for j in sorted(perp[i]) if j > i]
-    return Graph(len(pts), edges)
+    first, second = np.nonzero(np.triu(_orthogonality(f, pts, lambda u: u), 1))
+    return Graph(len(pts), zip(first.tolist(), second.tolist()))
 
 
 def singer_graph(q: int) -> Graph:
     """Graph on Z_{q^2+q+1} with i ~ j (i != j) iff i+j mod q^2+q+1 lies in
     the canonical Singer difference set; the q+1 loop positions are dropped."""
-    ds = singer_difference_set(q)
+    return _difference_set_graph(singer_difference_set(q))
+
+
+def _difference_set_graph(ds: DifferenceSet) -> Graph:
+    """The graph of :func:`singer_graph` on a given difference set."""
     n = ds.modulus
     edges = [
         (i, j)

@@ -27,6 +27,7 @@ __all__ = [
     "diameter",
     "girth",
     "antipodal",
+    "antipodal_components",
     "complement",
     "bipartition",
     "components",
@@ -233,7 +234,7 @@ def diameter(g: Graph) -> int:
 
 
 # entries in the largest temporary of one girth block
-_GIRTH_BLOCK_ENTRIES = 1 << 16
+_GIRTH_BLOCK_ENTRIES = 1 << 18
 
 
 def girth(g: Graph) -> Optional[int]:
@@ -247,35 +248,44 @@ def girth(g: Graph) -> Optional[int]:
     least such length over all roots is the girth.  UNREACHABLE entries
     never match.
 
-    Roots go in blocks of ``max(1, 2**16 // (2m))`` rows.  Every
-    temporary is a gather of the block's rows at no more than the 2m
-    neighbour-list entries, so it holds at most max(2**16, 2m) entries
-    whatever n is.
+    In a bipartite graph (``g.parts``, else :func:`bipartition`) every
+    cycle alternates sides and no edge has both ends at one distance, so
+    the roots are only the vertices on the side of vertex 0 and the odd
+    test is skipped.  Roots go in blocks of ``max(1, 2**18 // (2m))``
+    rows.  Every temporary holds the block's rows at no more than one
+    column per neighbour-list entry, so it holds at most max(2**18, 2m)
+    entries whatever n is.
     """
     if g.num_edges == 0:
         return None
     dist = all_pairs_distances(g)
+    parts = g.parts if g.parts is not None else bipartition(g)
     degree, neighbours = _csr(g)
     owner = np.repeat(np.arange(g.n), degree)
     active = np.flatnonzero(degree)  # reduceat needs non-empty segments
     starts = (np.cumsum(degree) - degree)[active]
     forward = owner < neighbours
     ends_u, ends_v = owner[forward], neighbours[forward]
+    if parts is None:
+        roots, shortest = np.arange(g.n), 3
+    else:
+        roots, shortest = np.flatnonzero(np.asarray(parts) == parts[0]), 4
     rows = max(1, _GIRTH_BLOCK_ENTRIES // len(neighbours))
     best: Optional[int] = None
-    for first in range(0, g.n, rows):
-        block = dist[first:first + rows]
-        du, dv = block[:, ends_u], block[:, ends_v]
-        level = du[(du == dv) & (du >= 0)]
-        if level.size:
-            odd = 2 * int(level.min()) + 1
-            best = odd if best is None else min(best, odd)
-        closer = block[:, neighbours] == block[:, owner] - 1
+    for first in range(0, len(roots), rows):
+        block = dist[roots[first:first + rows]]
+        if parts is None:
+            du, dv = block[:, ends_u], block[:, ends_v]
+            level = du[(du == dv) & (du >= 0)]
+            if level.size:
+                odd = 2 * int(level.min()) + 1
+                best = odd if best is None else min(best, odd)
+        closer = block[:, neighbours] == np.repeat(block - 1, degree, axis=1)
         twice = np.add.reduceat(closer, starts, axis=1, dtype=np.int32) >= 2
         if twice.any():
             even = 2 * int(block[:, active][twice].min())
             best = even if best is None else min(best, even)
-        if best == 3:
+        if best == shortest:
             break
     return best
 
@@ -316,6 +326,48 @@ def antipodal(g: Graph) -> Graph:
     np.fill_diagonal(mask, False)
     adj = tuple(frozenset(set(np.flatnonzero(row).tolist())) for row in mask)
     return Graph._trusted(g.n, adj, sum(map(len, adj)) // 2)
+
+
+def _bit_rows(mask: np.ndarray) -> list[int]:
+    """Row v of a boolean matrix as a Python-int bitset (bit w = column w)."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _bits(x: int) -> list[int]:
+    """Indices of the set bits of x, in increasing order."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def antipodal_components(g: Graph) -> list[list[int]]:
+    """``components(antipodal(g))``, without building the antipodal graph.
+
+    A depth-first search on the Python-int bitset rows of ``dist ==
+    diam``: each vertex reached ORs in its row once.
+    """
+    diam = diameter(g)
+    rows = _bit_rows(all_pairs_distances(g) == diam)
+    seen = 0
+    out = []
+    for start in range(g.n):
+        if seen >> start & 1:
+            continue
+        seen |= 1 << start
+        comp = [start]
+        stack = [start]
+        while stack:
+            new = rows[stack.pop()] & ~seen
+            seen |= new
+            for v in _bits(new):
+                comp.append(v)
+                stack.append(v)
+        out.append(sorted(comp))
+    return out
 
 
 def complement(g: Graph) -> Graph:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
 from .errors import BadPermutation, PreconditionFailed
-from .graphcore import Graph
+from .graphcore import Graph, _bits
 
 __all__ = [
     "PathCertificate",
@@ -63,16 +63,6 @@ def verify_certificate(g: Graph, cert: PathCertificate) -> bool:
 
 # ---------------------------------------------------------------------------
 # the window-ordering search
-
-
-def _bits(x: int) -> list[int]:
-    """Indices of the set bits of x, in increasing order."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
 
 
 def _connected(mask: int, table: list[int]) -> bool:

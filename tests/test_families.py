@@ -1,9 +1,11 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import radiolab as rl
+from radiolab import families
 from radiolab import (
     BadParams,
     LoopError,
@@ -74,6 +76,47 @@ def test_projective_plane_incidence_invariants(q):
     assert girth(g) == 6
     parts = g.parts
     assert parts is not None and sum(parts) == m
+
+
+def reference_orthogonality(q, ncoords, form):
+    """orth[i][j] from dot products taken one field_add/field_mul at a time,
+    over the canonical points listed independently of the constructors."""
+    f = rl.make_field(q)
+    pts = [p for p in product(range(q), repeat=ncoords)
+           if any(p) and p[next(i for i, x in enumerate(p) if x)] == 1]
+    add = [[rl.field_add(f, a, b) for b in range(q)] for a in range(q)]
+    mul = [[rl.field_mul(f, a, b) for b in range(q)] for a in range(q)]
+    orth = []
+    for u in pts:
+        w = form(f, u)
+        row = []
+        for v in pts:
+            s = 0
+            for a, b in zip(w, v):
+                s = add[s][mul[a][b]]
+            row.append(s == 0)
+        orth.append(row)
+    return f, pts, orth
+
+
+def symplectic(f, u):
+    return (rl.field_neg(f, u[1]), u[0], rl.field_neg(f, u[3]), u[2])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 23])
+def test_orthogonality_matches_dot_products_in_the_plane(q):
+    f, pts, want = reference_orthogonality(q, 3, lambda f, u: u)
+    assert families._pg_points(q, 3) == pts
+    got = families._orthogonality(f, pts, lambda u: u)
+    assert got.dtype == bool and got.tolist() == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_orthogonality_matches_dot_products_under_the_symplectic_form(q):
+    f, pts, want = reference_orthogonality(q, 4, symplectic)
+    assert families._pg_points(q, 4) == pts
+    got = families._orthogonality(f, pts, lambda u: symplectic(f, u))
+    assert got.tolist() == want
 
 
 def test_projective_plane_q2_is_heawood():

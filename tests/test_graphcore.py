@@ -10,6 +10,7 @@ from radiolab import (
     Graph,
     all_pairs_distances,
     antipodal,
+    antipodal_components,
     are_isomorphic,
     bipartite_moore_bound,
     bipartition,
@@ -21,7 +22,7 @@ from radiolab import (
     regularity,
 )
 
-from conftest import floyd_warshall, random_connected_graph, random_graph
+from conftest import atlas_connected, floyd_warshall, random_connected_graph, random_graph
 
 
 def test_graph_rejects_bad_edges():
@@ -202,6 +203,65 @@ def test_girth_matches_reference_on_random_graphs():
 def test_girth_matches_reference_on_families(make):
     g = make()
     assert girth(g) == reference_girth(g)
+
+
+def bipartite_with_parts_corpus(count, seed):
+    """Seeded bipartite graphs that carry ``parts``: up to three random
+    bipartite blocks side by side, each block's sides labelled 0/1 or
+    1/0 at random, so vertex 0's side has either label in the other
+    components; some vertices stay isolated."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        edges, parts, offset = [], [], 0
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.randint(1, 12), rng.randint(0, 12)
+            p = rng.uniform(0.5, 3.0) / max(a, b, 1)
+            edges += [(offset + u, offset + a + v) for u in range(a) for v in range(b)
+                      if rng.random() < p]
+            flip = rng.randrange(2)
+            parts += [flip] * a + [1 - flip] * b
+            offset += a + b
+        yield Graph(offset, edges, parts=parts)
+
+
+def test_girth_on_one_side_matches_reference_on_bipartite_graphs():
+    girths, flipped = set(), set()
+    for g in bipartite_with_parts_corpus(800, seed=13):
+        got = girth(g)
+        assert got == reference_girth(g), (g.n, list(g.edges()), g.parts)
+        girths.add(got)
+        # does a component with a cycle have its least vertex on the
+        # side that vertex 0's label does not name?
+        flipped.add(any(g.parts[c[0]] != g.parts[0]
+                        and reference_girth(g.induced_subgraph(c)) is not None
+                        for c in components(g)))
+    assert {None, 4, 6} <= girths and flipped == {True, False}
+
+
+def antipodal_components_corpus():
+    yield from atlas_connected(7)
+    yield from (rl.projective_plane_incidence(q) for q in (2, 3, 4, 5))
+    yield from (rl.generalized_quadrangle_incidence(q) for q in (2, 3, 4))
+    yield from (rl.erdos_renyi_polarity(q) for q in (2, 3, 4, 5))
+    yield from (rl.singer_graph(q) for q in (2, 3, 4))
+    yield from (rl.mms_graph(q) for q in (5, 9))
+    yield from (rl.petersen(), rl.hoffman_singleton(), rl.builtin_graph("cage-3-12"))
+    yield from (rl.path(600), rl.cycle(601), rl.cycle(600), rl.tadpole(4, 6))
+    yield from (rl.complete_bipartite(3, 4), rl.complete(5))
+
+
+def test_antipodal_components_match_antipodal_graph():
+    sizes = set()
+    for g in antipodal_components_corpus():
+        got = antipodal_components(g)
+        assert got == components(antipodal(g)), (g.n, list(g.edges()))
+        sizes.add(min(len(got), 3))
+    assert sizes == {1, 2, 3}  # connected and disconnected antipodal graphs
+
+
+def test_antipodal_components_requires_connected():
+    with pytest.raises(Disconnected):
+        antipodal_components(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_distance_matrix_is_kept_read_only_on_its_graph(distance_matrix_calls):

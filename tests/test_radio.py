@@ -336,6 +336,16 @@ def test_singer_complement_consecutive_adjacent_in_singer(q):
     assert all(g.is_edge(order[i], order[i + 1]) for i in range(g.n - 1))
 
 
+@pytest.mark.parametrize("label", [singer_label_erq, singer_label_erq_complement])
+def test_singer_labeling_builds_one_difference_set(label, monkeypatch):
+    # each difference set builds GF(q) and GF(q^3)
+    built = []
+    make_field = rl.field.make_field
+    monkeypatch.setattr(rl.field, "make_field", lambda q: built.append(q) or make_field(q))
+    label(5)
+    assert built == [5, 125]
+
+
 def test_singer_labelings_are_deterministic():
     assert singer_label_erq(3) == singer_label_erq(3)
     assert singer_label_erq_complement(3) == singer_label_erq_complement(3)
