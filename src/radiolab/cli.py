@@ -20,9 +20,9 @@ from .errors import BadParams, RadioLabError
 from .graphcore import (
     Graph,
     antipodal,
+    antipodal_components,
     are_isomorphic,
     complement,
-    components,
     diameter,
 )
 from .hamsearch import PathCertificate, find_hamiltonian_path, verify_certificate
@@ -314,14 +314,13 @@ def cmd_check_sequence(args) -> int:
     if vertices == set(range(g.n)):
         target, order = g, seq
     else:
-        a = antipodal(g)
-        match = [c for c in components(a) if set(c) == vertices]
-        if not match:
+        comp = sorted(vertices)
+        if comp not in antipodal_components(g):
             print("sequence is neither all vertices nor one antipodal component",
                   file=sys.stderr)
             return EXIT_USAGE
-        target = a.induced_subgraph(match[0])
-        index = {v: i for i, v in enumerate(match[0])}
+        target = antipodal(g).induced_subgraph(comp)
+        index = {v: i for i, v in enumerate(comp)}
         order = [index[v] for v in seq]
     kind = "cycle_power" if is_cycle else "path"
     cert = PathCertificate(tuple(order), kind, args.power if is_cycle else 1)

@@ -23,7 +23,7 @@ from .field import (
     make_field,
     singer_difference_set,
 )
-from .graphcore import Graph, _bit_rows, diameter, girth, regularity
+from .graphcore import Graph, _bit_rows, bipartite_moore_bound, diameter, regularity
 
 __all__ = [
     "complete",
@@ -196,7 +196,8 @@ def generalized_quadrangle_incidence(q: int) -> Graph:
     index tuples.  The line through orthogonal points x and y is {x,y}^perp,
     the meet of their perps, taken as an AND of bitset rows; each distinct
     meet is listed once.  The construction is validated against the
-    expected regularity, diameter 4 and girth 8 before returning.
+    expected regularity, diameter 4 and girth 8 before returning; at
+    diameter 4 girth 8 is the same as the bipartite Moore order.
     """
     f = make_field(q)
     pts = _pg_points(q, 4)
@@ -216,7 +217,7 @@ def generalized_quadrangle_incidence(q: int) -> Graph:
     g = Graph(2 * n, edges, parts=[0] * n + [1] * n)
     if regularity(g) != q + 1:
         raise AssertionError(f"W({q}) incidence graph is not {q + 1}-regular")
-    if diameter(g) != 4 or girth(g) != 8:
+    if diameter(g) != 4 or g.n != bipartite_moore_bound(q + 1, 4):
         raise AssertionError(f"W({q}) incidence graph failed diameter/girth checks")
     return g
 

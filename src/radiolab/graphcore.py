@@ -292,23 +292,7 @@ def girth(g: Graph) -> Optional[int]:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum vertex."""
-    seen = [False] * g.n
-    out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        out.append(sorted(comp))
-    return out
+    return _row_components(_adjacency_rows(g))
 
 
 def antipodal(g: Graph) -> Graph:
@@ -318,8 +302,7 @@ def antipodal(g: Graph) -> Graph:
     distance matrix this needs the n-by-n boolean mask and one row's
     index list at a time.  Each row becomes ``frozenset(set(ascending
     list))``, the way ``Graph.__init__`` builds it from sorted edges, so
-    neighbour iteration order, on which the path searches' witnesses
-    depend, is that of the edge-list constructor.
+    neighbour iteration order is that of the edge-list constructor.
     """
     diam = diameter(g)
     mask = all_pairs_distances(g) == diam
@@ -344,17 +327,25 @@ def _bits(x: int) -> list[int]:
     return out
 
 
-def antipodal_components(g: Graph) -> list[list[int]]:
-    """``components(antipodal(g))``, without building the antipodal graph.
+def _adjacency_rows(g: Graph) -> list[int]:
+    """Row v is the neighbourhood of v as a Python-int bitset."""
+    return [sum(1 << w for w in nbrs) for nbrs in g._adj]
 
-    A depth-first search on the Python-int bitset rows of ``dist ==
-    diam``: each vertex reached ORs in its row once.
+
+def _antipodal_rows(g: Graph) -> list[int]:
+    """Row v of ``dist == diam(g)`` as a Python-int bitset: the adjacency
+    rows of the antipodal graph whenever g has an edge."""
+    return _bit_rows(all_pairs_distances(g) == diameter(g))
+
+
+def _row_components(rows: list[int]) -> list[list[int]]:
+    """Connected components of the symmetric relation ``rows`` (bitset
+    rows), as sorted vertex lists ordered by minimum vertex: a
+    depth-first search in which each vertex reached ORs in its row once.
     """
-    diam = diameter(g)
-    rows = _bit_rows(all_pairs_distances(g) == diam)
     seen = 0
     out = []
-    for start in range(g.n):
+    for start in range(len(rows)):
         if seen >> start & 1:
             continue
         seen |= 1 << start
@@ -368,6 +359,12 @@ def antipodal_components(g: Graph) -> list[list[int]]:
                 stack.append(v)
         out.append(sorted(comp))
     return out
+
+
+def antipodal_components(g: Graph) -> list[list[int]]:
+    """``components(antipodal(g))``, read from the distance matrix
+    without building the antipodal graph."""
+    return _row_components(_antipodal_rows(g))
 
 
 def complement(g: Graph) -> Graph:
@@ -496,7 +493,7 @@ def are_isomorphic(
     width = max(g.degrees())
     table = np.concatenate((_neighbour_table(g, width, 0),
                             _neighbour_table(h, width, n)))
-    adj_h = [sum(1 << y for y in h.neighbors(v)) for v in range(n)]
+    adj_h = _adjacency_rows(h)
     frames: list[tuple[np.ndarray, int, Iterator[int]]] = []
 
     def enter(colours: Optional[np.ndarray]) -> Optional[tuple[int, ...]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
 from .errors import BadPermutation, PreconditionFailed
-from .graphcore import Graph, _bits
+from .graphcore import Graph, _adjacency_rows, _bits
 
 __all__ = [
     "PathCertificate",
@@ -161,29 +161,27 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
 # Hamiltonian path
 
 
-def _rotation_extension_path(g: Graph) -> list[int] | None:
+def _rotation_extension_path(rows: list[int]) -> list[int] | None:
     """Cheap deterministic constructive attempt (greedy growth plus
-    rotations).  Any returned list is a genuine Hamiltonian path; None just
-    means the heuristic gave up."""
-    n = g.n
+    rotations) on adjacency bitset rows.  Any returned list is a genuine
+    Hamiltonian path; None just means the heuristic gave up."""
+    n = len(rows)
     if n == 0:
         return []
     # vertices ranked by (degree, index) once per search
-    by_rank = sorted(range(n), key=g.degrees().__getitem__)
+    by_rank = sorted(range(n), key=lambda v: rows[v].bit_count())
     key = {v: i for i, v in enumerate(by_rank)}.__getitem__
     start = by_rank[0]
     path = [start]
-    on_path = [False] * n
-    on_path[start] = True
+    on_path = 1 << start
     while len(path) < n:
         extended = False
         for _ in range(2):
-            head = path[-1]
-            fresh = [w for w in g.neighbors(head) if not on_path[w]]
+            fresh = rows[path[-1]] & ~on_path
             if fresh:
-                w = min(fresh, key=key)
+                w = min(_bits(fresh), key=key)
                 path.append(w)
-                on_path[w] = True
+                on_path |= 1 << w
                 extended = True
                 break
             path.reverse()
@@ -198,14 +196,13 @@ def _rotation_extension_path(g: Graph) -> list[int] | None:
             while queue and not improved:
                 cur = queue.pop(0)
                 pos = {v: i for i, v in enumerate(cur)}
-                head = cur[-1]
-                for x in sorted(g.neighbors(head)):
+                for x in _bits(rows[cur[-1]]):
                     i = pos[x]
                     if i + 1 >= len(cur):
                         continue
                     rotated = cur[: i + 1] + cur[i + 1 :][::-1]
                     new_head = rotated[-1]
-                    if any(not on_path[w] for w in g.neighbors(new_head)):
+                    if rows[new_head] & ~on_path:
                         path = rotated
                         improved = True
                         break
@@ -220,23 +217,25 @@ def _rotation_extension_path(g: Graph) -> list[int] | None:
     return path
 
 
-def _splits_three_ways(g: Graph) -> bool:
+def _splits_three_ways(rows: list[int]) -> bool:
     """Whether removing some vertex splits its component into three or
-    more pieces: one iterative lowpoint depth-first search.
+    more pieces (adjacency bitset rows): one iterative lowpoint
+    depth-first search.
 
     Removing u cuts off each child subtree of u whose lowpoint does not
     reach above u; unless u is a root, one more piece holds its parent."""
-    order = [-1] * g.n
-    low = [0] * g.n
-    pieces = [0] * g.n
+    n = len(rows)
+    order = [-1] * n
+    low = [0] * n
+    pieces = [0] * n
     count = 0
-    for root in range(g.n):
+    for root in range(n):
         if order[root] >= 0:
             continue
         order[root] = low[root] = count
         count += 1
         pieces[root] = -1  # no piece holds the root's parent
-        stack = [(root, iter(g.neighbors(root)))]
+        stack = [(root, iter(_bits(rows[root])))]
         while stack:
             v, rest = stack[-1]
             w = next(rest, None)
@@ -252,7 +251,7 @@ def _splits_three_ways(g: Graph) -> bool:
             elif order[w] < 0:
                 order[w] = low[w] = count
                 count += 1
-                stack.append((w, iter(g.neighbors(w))))
+                stack.append((w, iter(_bits(rows[w]))))
             else:
                 low[v] = min(low[v], order[w])
     return False
@@ -266,24 +265,28 @@ def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
     degree one, and, once the constructive attempt has failed, a vertex
     whose removal leaves three or more components (removing one vertex
     from a Hamiltonian path leaves at most two subpaths)."""
-    n = g.n
-    degree_one = [v for v in range(n) if g.degree(v) == 1]
+    return _hamiltonian_path(_adjacency_rows(g), deadline)
+
+
+def _hamiltonian_path(rows: list[int], deadline: int | SearchBudget | None = None):
+    """:func:`find_hamiltonian_path` on a graph's adjacency bitset rows."""
+    n = len(rows)
+    degree_one = [v for v in range(n) if rows[v].bit_count() == 1]
     if len(degree_one) > 2:
         return None
 
-    constructed = _rotation_extension_path(g)
+    constructed = _rotation_extension_path(rows)
     if constructed is not None:
         return PathCertificate(tuple(constructed), "path")
-    if _splits_three_ways(g):
+    if _splits_three_ways(rows):
         return None
 
-    adjacency = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
     everyone = (1 << n) - 1
     # a path endpoint must be a degree-1 vertex whenever one exists
     allowed = [1 << min(degree_one) if degree_one else everyone] + [everyone] * (n - 1)
     constraints = [[]] + [[(k - 1, 0)] for k in range(1, n)]
     try:
-        order = _window_ordering([adjacency], constraints, allowed, as_budget(deadline))
+        order = _window_ordering([rows], constraints, allowed, as_budget(deadline))
     except BudgetExhausted:
         return TIMEOUT
     return None if order is None else PathCertificate(tuple(order), "path")
@@ -297,18 +300,23 @@ def dirac_hamiltonian_path(g: Graph) -> PathCertificate:
     classic crossover exchange until it is a genuine Hamiltonian cycle,
     then removes the virtual vertex.  O(n^2), no search tree, total.
     """
-    n = g.n
+    return _dirac_path(_adjacency_rows(g))
+
+
+def _dirac_path(rows: list[int]) -> PathCertificate:
+    """:func:`dirac_hamiltonian_path` on a graph's adjacency bitset rows."""
+    n = len(rows)
     if n == 0:
         return PathCertificate((), "path")
     if n == 1:
         return PathCertificate((0,), "path")
-    if 2 * min(g.degrees()) < n - 1:
+    if 2 * min(row.bit_count() for row in rows) < n - 1:
         raise PreconditionFailed("minimum degree below (n-1)/2")
     univ = n
     size = n + 1
 
     def adj(a: int, b: int) -> bool:
-        return a == univ or b == univ or g.is_edge(a, b)
+        return a == univ or b == univ or rows[a] >> b & 1
 
     tour = list(range(size))
     while True:
@@ -356,7 +364,7 @@ def find_cycle_power(
         return None
 
     start = min(range(n), key=lambda v: (g.degree(v), v))
-    adjacency = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    adjacency = _adjacency_rows(g)
     # the window of the last ``power`` positions, then the wrap-around
     # pairs (j, k) with n - k + j <= power not already in that window
     constraints = [

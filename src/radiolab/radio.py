@@ -36,21 +36,22 @@ from .families import _difference_set_graph
 from .field import DifferenceSet, singer_difference_set
 from .graphcore import (
     Graph,
+    _antipodal_rows,
     _bit_rows,
+    _row_components,
     all_pairs_distances,
-    antipodal,
     antipodal_components,
+    bipartite_moore_bound,
     bipartition,
     complement,
-    components,
     diameter,
-    girth,
     regularity,
 )
 from .hamsearch import (
     PathCertificate,
+    _dirac_path,
+    _hamiltonian_path,
     _window_ordering,
-    dirac_hamiltonian_path,
     find_hamiltonian_path,
 )
 
@@ -247,23 +248,25 @@ def _cage_parts(g: Graph) -> tuple[list[int], list[int]]:
     return side0, side1
 
 
-def _label_cage(g: Graph, deadline, diam: int, want_girth: int):
+def _label_cage(g: Graph, deadline, diam: int):
     """Span-(2m+1) labeling of a cage whose antipodal components are its
     parts: points get labels 1..m and lines m+2..2m+1, in the order one
     exact window search finds.  Position k needs distance >= diam+1-g to
     each earlier position whose label is g < diam below its own, the pairs
-    across the skipped label m+1 included."""
+    across the skipped label m+1 included.  A bipartite k-regular graph of
+    diameter diam has at most bipartite_moore_bound(k, diam) vertices, and
+    girth 2*diam forces at least as many: it has that girth at that order."""
     side0, side1 = _cage_parts(g)
     if len(side0) != len(side1):
         raise PreconditionFailed("parts have different sizes")
-    if regularity(g) is None:
+    k = regularity(g)
+    if k is None:
         raise PreconditionFailed("graph is not regular")
     g_diam = diameter(g)  # raises Disconnected
     if g_diam != diam:
         raise PreconditionFailed(f"diameter is {g_diam}, need {diam}")
-    g_girth = girth(g)
-    if g_girth != want_girth:
-        raise PreconditionFailed(f"girth is {g_girth}, need {want_girth}")
+    if g.n != bipartite_moore_bound(k, diam):
+        raise PreconditionFailed(f"girth is not {2 * diam}")
     if sorted(antipodal_components(g)) != sorted([side0, side1]):
         raise PreconditionFailed("antipodal components do not match the two parts")
 
@@ -298,7 +301,7 @@ def label_quadrangle_cage(g: Graph, deadline: int | SearchBudget | None = None):
     apart lies at the distance its label gap needs.  Returns TIMEOUT when
     the node budget runs out first.
     """
-    return _label_cage(g, deadline, 4, 8)
+    return _label_cage(g, deadline, 4)
 
 
 def label_hexagon_cage(g: Graph, deadline: int | SearchBudget | None = None):
@@ -306,7 +309,7 @@ def label_hexagon_cage(g: Graph, deadline: int | SearchBudget | None = None):
     window search as :func:`label_quadrangle_cage` with a window of 5
     labels.  Returns TIMEOUT when the node budget runs out first.
     """
-    return _label_cage(g, deadline, 6, 12)
+    return _label_cage(g, deadline, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +578,9 @@ def analyze(
     disconnected antipodal graph; bounded-degree diameter 2 (guaranteed
     path); antipodal path search for diameter 2 or bipartite diameter 3
     (where traceability is equivalent to gracefulness); otherwise Unknown
-    with honest bounds.  The antipodal graph is built only for the two
-    path rules, which search it; elsewhere its components come straight
-    from the distance matrix (:func:`antipodal_components`).
+    with honest bounds.  Every rule reads the antipodal graph as one set
+    of bitset rows, ``dist == diam``: its components, the Dirac
+    construction and the path search all run on them.
     """
     n = g.n
     if n == 0:
@@ -595,18 +598,8 @@ def analyze(
         return graceful("trivial-diameter", labeling)
 
     parts = bipartition(g)
-    # Only the path rules (diameter 2, bipartite diameter 3) search the
-    # antipodal graph itself.  There its components are read from it:
-    # on small dense graphs walking its sets is cheaper than the bitset
-    # search over the matrix, which made diameter-2 analyses about a fifth
-    # slower.
-    searched = diam == 2 and parts is None or diam == 3 and parts is not None
-    if searched:
-        a = antipodal(g)
-        comps = tuple(map(tuple, components(a)))
-    else:
-        comps = tuple(map(tuple, antipodal_components(g)))
-
+    rows = _antipodal_rows(g)
+    comps = tuple(map(tuple, _row_components(rows)))
     if parts is not None and diam % 2 == 0:
         return not_graceful(
             "bipartite-even-diameter",
@@ -617,17 +610,15 @@ def analyze(
             "antipodal-disconnected",
             Obstruction("antipodal-disconnected", antipodal_components=comps),
         )
-
-    if not searched:
+    if not (diam == 2 or diam == 3 and parts is not None):
         return AnalysisVerdict(UNKNOWN, "no-decisive-rule", None, n, None)
 
     if diam == 2 and 2 * max(g.degrees()) <= n - 1:
-        cert = dirac_hamiltonian_path(a)
-        labeling = label_from_antipodal_path(g, cert)
+        labeling = label_from_antipodal_path(g, _dirac_path(rows))
         return graceful("diameter-2-bounded-degree", labeling)
 
     budget = as_budget(deadline)
-    result = find_hamiltonian_path(a, budget)
+    result = _hamiltonian_path(rows, budget)
     if isinstance(result, PathCertificate):
         labeling = label_from_antipodal_path(g, result)
         return graceful("antipodal-path-found", labeling)
@@ -700,8 +691,10 @@ def labeling_from_json(text: str) -> tuple[int, int, RadioLabeling]:
     if missing:
         raise ValueError(f"labeling file: missing {', '.join(missing)}")
     labels, diam = payload["labels"], payload["diameter"]
-    if not isinstance(labels, list) or not all(isinstance(x, int) for x in [diam, *labels]):
-        raise ValueError("labeling file: labels and diameter must be integers")
+    # bool is an int subclass: JSON true/false must not pass as integers
+    if not isinstance(labels, list) or any(type(x) is not int
+                                           for x in [payload["n"], diam, *labels]):
+        raise ValueError("labeling file: n, labels and diameter must be integers")
     labeling = RadioLabeling(tuple(labels))
     if payload["n"] != len(labels):
         raise ValueError("labeling file: n does not match labels length")

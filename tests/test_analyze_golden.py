@@ -99,7 +99,11 @@ def build(key: str) -> rl.Graph:
 
 def record(key: str) -> dict:
     """The stored value for one key, computed from the library."""
-    verdict = rl.analyze(build(key)).to_json_dict()
+    return record_of(build(key))
+
+
+def record_of(g: rl.Graph) -> dict:
+    verdict = rl.analyze(g).to_json_dict()
     cert = verdict["certificate"]
     text = json.dumps(cert, sort_keys=True, separators=(",", ":"))
     return {
@@ -122,6 +126,22 @@ def test_golden_covers_keys(golden):
 @pytest.mark.parametrize("key", KEYS)
 def test_analyze_verdict(golden, key):
     assert record(key) == golden[key]
+
+
+@pytest.mark.parametrize("key", ["petersen", "pg-3", "erq-5", "mms-5",
+                                 "complement-cycle-9", "diameter2-0", "random-124"])
+def test_analyze_needs_no_antipodal_graph(golden, key, monkeypatch):
+    # analyze reads the antipodal graph as bitset rows of the distance
+    # matrix: neither the frozenset antipodal graph nor its walk is used
+    g = build(key)
+
+    def unused(*args):
+        raise AssertionError("analyze built or walked an antipodal Graph")
+
+    for name in ("antipodal", "components"):
+        monkeypatch.setattr(rl.graphcore, name, unused)
+        monkeypatch.setattr(rl.radio, name, unused, raising=False)
+    assert record_of(g) == golden[key]
 
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
 """Golden neighbour order of the antipodal graphs of the family graphs.
 
-The Hamiltonian-path searches walk ``neighbors(v)`` in iteration order,
-so their witnesses, and with them every antipodal-path labeling, depend on
-the order in which the antipodal graph's adjacency sets iterate, not only
-on its edge set.  For each family graph of the geometry benchmark, and for
-the Petersen graph, this stores a sha256 of
+``antipodal`` builds each adjacency set the way the edge-list constructor
+does, so its neighbour iteration order is part of what it returns.  For
+each family graph of the geometry benchmark, and for the Petersen graph,
+this stores a sha256 of
 ``[list(a.neighbors(v)) for v in range(n)]`` where ``a = antipodal(g)``.
 
 The expected data lives in ``data/antipodal_golden.json``.  After an

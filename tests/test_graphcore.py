@@ -351,6 +351,53 @@ def test_moore_bounds():
         moore_bound(0, 2)
 
 
+def test_components_match_networkx_on_random_graphs():
+    import networkx as nx
+
+    rng = random.Random(2026)
+    for _ in range(200):
+        g = random_graph(rng.randint(0, 30), rng.uniform(0.0, 0.2), rng)
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        expected = sorted(sorted(c) for c in nx.connected_components(h))
+        assert components(g) == expected
+
+
+def bipartite_regular_corpus():
+    """Connected bipartite k-regular graphs, k >= 2: from the atlas, the
+    paper's incidence graphs, the bundled cages, K_{k,k}, even cycles, and
+    hypercubes and even prisms (girth 4 at diameter above 2)."""
+    import networkx as nx
+
+    def from_nx(h):
+        index = {v: i for i, v in enumerate(h.nodes())}
+        return Graph(len(index), [(index[u], index[v]) for u, v in h.edges()])
+
+    for g in atlas_connected(7):
+        k = regularity(g)
+        if k is not None and k >= 2 and bipartition(g) is not None:
+            yield g
+    yield from (rl.generalized_quadrangle_incidence(q) for q in (2, 3, 4, 5))
+    yield from (rl.projective_plane_incidence(q) for q in (2, 3, 4, 5, 7))
+    yield from (rl.builtin_graph(name) for name in rl.BUILTIN_GRAPHS)
+    yield from (rl.complete_bipartite(k, k) for k in range(2, 7))
+    yield from (rl.cycle(n) for n in range(4, 21, 2))
+    yield from (from_nx(nx.hypercube_graph(d)) for d in (3, 4, 5))
+    yield from (from_nx(nx.circular_ladder_graph(m)) for m in (4, 6, 8))
+
+
+def test_bipartite_girth_is_twice_the_diameter_exactly_at_the_moore_order():
+    # a bipartite k-regular graph of diameter d has at most
+    # bipartite_moore_bound(k, d) vertices, and girth 2d forces as many
+    seen = set()
+    for g in bipartite_regular_corpus():
+        k, d = regularity(g), diameter(g)
+        at_order = g.n == bipartite_moore_bound(k, d)
+        assert at_order == (girth(g) == 2 * d), (g.n, k, d)
+        seen.add(at_order)
+    assert seen == {True, False}
+
+
 def test_isomorphism_negative_cases():
     assert are_isomorphic(rl.complete(3), rl.path(3)) is None
     assert are_isomorphic(rl.cycle(6), rl.cycle(5)) is None

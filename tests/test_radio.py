@@ -251,11 +251,33 @@ def test_quadrangle_cage_q3():
     assert verify(g, lab) == []
 
 
+def test_quadrangle_cage_builds_and_labels_without_a_girth_search(monkeypatch):
+    # both the constructor and the precondition read girth 8 from the order
+    def no_girth(g):
+        raise AssertionError("girth computed")
+
+    for module in (rl.graphcore, rl.families, rl.radio):
+        monkeypatch.setattr(module, "girth", no_girth, raising=False)
+    g = rl.generalized_quadrangle_incidence(3)
+    lab = label_quadrangle_cage(g)
+    assert lab.span == 81 and verify(g, lab) == []
+
+
+def _hypercube(d):
+    return Graph(1 << d, [(v, v | 1 << b) for v in range(1 << d)
+                          for b in range(d) if not v >> b & 1])
+
+
 def test_quadrangle_cage_rejects_wrong_shape():
     with pytest.raises(PreconditionFailed):
         label_quadrangle_cage(rl.projective_plane_incidence(2))
     with pytest.raises(PreconditionFailed):
         label_quadrangle_cage(rl.petersen())
+    # bipartite, regular, the right diameter, girth 4
+    with pytest.raises(PreconditionFailed, match="girth is not 8"):
+        label_quadrangle_cage(_hypercube(4))
+    with pytest.raises(PreconditionFailed, match="girth is not 12"):
+        label_hexagon_cage(_hypercube(6))
 
 
 def test_quadrangle_cage_timeout():
@@ -706,3 +728,14 @@ def test_labeling_json_rejects_inconsistent_fields():
         labeling_from_json('{"n": 3, "diameter": 1, "labels": [1, 2], "span": 2}')
     with pytest.raises(ValueError):
         labeling_from_json('{"n": 2, "diameter": 1, "labels": [1, 2], "span": 5}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "diameter": true, "labels": [true, 3], "span": 3}',
+    '{"n": 2, "diameter": 1, "labels": [1, false], "span": 1}',
+    '{"n": true, "diameter": 1, "labels": [1], "span": 1}',
+])
+def test_labeling_json_rejects_booleans(text):
+    # JSON true/false parse as Python bools, which are ints
+    with pytest.raises(ValueError, match="must be integers"):
+        labeling_from_json(text)
