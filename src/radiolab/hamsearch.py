@@ -268,7 +268,7 @@ def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
     return _hamiltonian_path(_adjacency_rows(g), deadline)
 
 
-def _hamiltonian_path(rows: list[int], deadline: int | SearchBudget | None = None):
+def _hamiltonian_path(rows: list[int], deadline: int | SearchBudget | None):
     """:func:`find_hamiltonian_path` on a graph's adjacency bitset rows."""
     n = len(rows)
     degree_one = [v for v in range(n) if rows[v].bit_count() == 1]
