@@ -169,7 +169,7 @@ def cmd_analyze(args) -> int:
 
 
 def _infer_singer_q(n: int) -> int:
-    q = 1
+    q = 2
     while q * q + q + 1 < n:
         q += 1
     if q * q + q + 1 != n:

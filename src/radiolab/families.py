@@ -240,13 +240,9 @@ def singer_graph(q: int) -> Graph:
 def _difference_set_graph(ds: DifferenceSet) -> Graph:
     """The graph of :func:`singer_graph` on a given difference set."""
     n = ds.modulus
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in sorted((d - i) % n for d in ds.elements)
-        if j > i
-    ]
-    return Graph(n, edges)
+    rows = (sum(1 << ((d - i) % n) for d in ds.elements) for i in range(n))
+    # bit i of row i is a loop position
+    return Graph._trusted(tuple(row & ~(1 << i) for i, row in enumerate(rows)))
 
 
 def mms_graph(q: int) -> Graph:

@@ -12,7 +12,7 @@ queries because antipodal-component analysis needs them.
 
 from __future__ import annotations
 
-from itertools import chain
+from operator import index
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -43,12 +43,20 @@ UNREACHABLE = -1
 class Graph:
     """Simple undirected graph with optional bipartition labels.
 
+    The adjacency is one bitset row per vertex, read as is by every
+    search: ``_rows[v]`` is a Python int whose bit w is set when w is a
+    neighbour of v.  Rows take up to n²/8 bytes, 1/32 of the int32
+    distance matrix every analysis builds, so they never set its peak;
+    but a sparse graph of more than about 10^5 vertices costs more to
+    build than as neighbour sets, a row being as long as its highest
+    neighbour's index.
+
     ``parts``, when given, is a 0/1 label per vertex and every edge must
     join the two sides; constructors of incidence graphs use it to keep
     the point/line split around.
     """
 
-    __slots__ = ("n", "parts", "num_edges", "_adj", "_distances")
+    __slots__ = ("n", "parts", "num_edges", "_rows", "_distances")
 
     def __init__(
         self,
@@ -58,63 +66,59 @@ class Graph:
     ):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
+        rows = [0] * n
         for u, v in edges:
+            u, v = index(u), index(v)  # a numpy integer would wrap in 1 << v
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                m += 1
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.n = n
-        self.num_edges = m
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self.num_edges = sum(map(int.bit_count, rows)) // 2
+        self._rows: tuple[int, ...] = tuple(rows)
         if parts is not None:
             parts = tuple(int(x) for x in parts)
             if len(parts) != n or any(x not in (0, 1) for x in parts):
                 raise ValueError("parts must be one 0/1 label per vertex")
-            for u in range(n):
-                for v in self._adj[u]:
-                    if parts[u] == parts[v]:
-                        raise ValueError(f"edge ({u},{v}) does not cross parts")
+            for u, v in self.edges():
+                if parts[u] == parts[v]:
+                    raise ValueError(f"edge ({u},{v}) does not cross parts")
         self.parts = parts
         self._distances: Optional[np.ndarray] = None
 
     @classmethod
-    def _trusted(
-        cls, n: int, adj: tuple[frozenset[int], ...], num_edges: int
-    ) -> "Graph":
-        """A graph from adjacency sets the caller guarantees to be simple
-        and symmetric, with no per-edge checks."""
+    def _trusted(cls, rows: tuple[int, ...]) -> "Graph":
+        """A graph from bitset rows the caller guarantees to be symmetric
+        and free of diagonal bits, with no per-edge checks."""
         g = cls.__new__(cls)
-        g.n = n
-        g.num_edges = num_edges
-        g._adj = adj
+        g.n = len(rows)
+        g.num_edges = sum(map(int.bit_count, rows)) // 2
+        g._rows = rows
         g.parts = None
         g._distances = None
         return g
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        # a set filled in ascending order fixes the iteration order,
+        # which tests/data/antipodal_golden.json pins
+        return frozenset(set(_bits(self._rows[v])))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._rows[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [len(s) for s in self._adj]
+        return [row.bit_count() for row in self._rows]
 
     def is_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return bool(self._rows[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in sorted(self._adj[u]):
-                if u < v:
-                    yield (u, v)
+        for u, row in enumerate(self._rows):
+            for w in _bits(row >> u + 1):
+                yield (u, u + 1 + w)
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph on ``vertices``; new vertex i is old vertices[i]."""
@@ -124,7 +128,7 @@ class Graph:
         edges = [
             (index[u], index[v])
             for u in vertices
-            for v in self._adj[u]
+            for v in _bits(self._rows[u])
             if u < v and v in index
         ]
         parts = None
@@ -135,14 +139,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self._adj == other._adj
-            and self.parts == other.parts
-        )
+        return self._rows == other._rows and self.parts == other.parts
 
     def __hash__(self):
-        return hash((self.n, self._adj, self.parts))
+        return hash((self._rows, self.parts))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -153,12 +153,15 @@ class Graph:
 
 
 def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees and the concatenated neighbour lists, in iteration order."""
-    degree = np.fromiter(map(len, g._adj), dtype=np.intp, count=g.n)
-    neighbours = np.fromiter(
-        chain.from_iterable(g._adj), dtype=np.intp, count=2 * g.num_edges
-    )
-    return degree, neighbours
+    """Degrees and the concatenated neighbour lists, each list ascending:
+    the set bits of the nonzero bytes of the rows, in row-major order."""
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(
+        b"".join(row.to_bytes(width, "little") for row in g._rows), dtype=np.uint8
+    ).reshape(g.n, width)
+    owner, byte = np.nonzero(packed)
+    entry, bit = np.nonzero(np.unpackbits(packed[owner, byte, None], axis=1, bitorder="little"))
+    return np.bincount(owner[entry], minlength=g.n), byte[entry] * 8 + bit
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -292,23 +295,18 @@ def girth(g: Graph) -> Optional[int]:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum vertex."""
-    return _row_components(_adjacency_rows(g))
+    return _row_components(g._rows)
 
 
 def antipodal(g: Graph) -> Graph:
     """Graph joining exactly the vertex pairs at distance diam(g).
 
-    Row v of ``dist == diam`` is the neighbour list of v; beyond the
-    distance matrix this needs the n-by-n boolean mask and one row's
-    index list at a time.  Each row becomes ``frozenset(set(ascending
-    list))``, the way ``Graph.__init__`` builds it from sorted edges, so
-    neighbour iteration order is that of the edge-list constructor.
+    Its bitset rows are those of the boolean mask ``dist == diam`` with
+    the diagonal cleared (which matters only for a single vertex, whose
+    diameter is 0): beyond the distance matrix this needs the n-by-n mask
+    and its packed bits, and builds no neighbour sets.
     """
-    diam = diameter(g)
-    mask = all_pairs_distances(g) == diam
-    np.fill_diagonal(mask, False)
-    adj = tuple(frozenset(set(np.flatnonzero(row).tolist())) for row in mask)
-    return Graph._trusted(g.n, adj, sum(map(len, adj)) // 2)
+    return Graph._trusted(tuple(_antipodal_rows(g)))
 
 
 def _bit_rows(mask: np.ndarray) -> list[int]:
@@ -327,18 +325,15 @@ def _bits(x: int) -> list[int]:
     return out
 
 
-def _adjacency_rows(g: Graph) -> list[int]:
-    """Row v is the neighbourhood of v as a Python-int bitset."""
-    return [sum(1 << w for w in nbrs) for nbrs in g._adj]
-
-
 def _antipodal_rows(g: Graph) -> list[int]:
-    """Row v of ``dist == diam(g)`` as a Python-int bitset: the adjacency
-    rows of the antipodal graph whenever g has an edge."""
-    return _bit_rows(all_pairs_distances(g) == diameter(g))
+    """The adjacency rows of the antipodal graph: row v of ``dist ==
+    diam(g)`` as a Python-int bitset, without its diagonal bit."""
+    mask = all_pairs_distances(g) == diameter(g)
+    np.fill_diagonal(mask, False)
+    return _bit_rows(mask)
 
 
-def _row_components(rows: list[int]) -> list[list[int]]:
+def _row_components(rows: Sequence[int]) -> list[list[int]]:
     """Connected components of the symmetric relation ``rows`` (bitset
     rows), as sorted vertex lists ordered by minimum vertex: a
     depth-first search in which each vertex reached ORs in its row once.
@@ -368,36 +363,38 @@ def antipodal_components(g: Graph) -> list[list[int]]:
 
 
 def complement(g: Graph) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.is_edge(u, v)
-    ]
-    return Graph(g.n, edges)
+    everyone = (1 << g.n) - 1
+    return Graph._trusted(
+        tuple(everyone ^ row ^ (1 << v) for v, row in enumerate(g._rows))
+    )
 
 
 def bipartition(g: Graph) -> Optional[tuple[int, ...]]:
     """A 0/1 two-coloring, or None when an odd cycle exists.
 
-    Deterministic: component roots are taken in increasing vertex order
-    and always colored 0.
+    Each vertex is coloured by the parity of its breadth-first level,
+    searched on bitset frontiers from the least vertex of its component,
+    which is colored 0.  Every edge joins one level or two consecutive
+    ones, so that colouring is proper exactly when no edge joins two
+    vertices of one level.
     """
-    color: list[Optional[int]] = [None] * g.n
+    rows = g._rows
+    seen = odd = 0
     for start in range(g.n):
-        if color[start] is not None:
+        if seen >> start & 1:
             continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in g.neighbors(u):
-                if color[v] is None:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
+        frontier, level = 1 << start, 0
+        while frontier:
+            seen |= frontier
+            if level & 1:
+                odd |= frontier
+            reached = 0
+            for v in _bits(frontier):
+                if rows[v] & frontier:
                     return None
-    return tuple(color)  # type: ignore[arg-type]
+                reached |= rows[v]
+            frontier, level = reached & ~seen, level + 1
+    return tuple(odd >> v & 1 for v in range(g.n))
 
 
 def regularity(g: Graph) -> Optional[int]:
@@ -438,7 +435,8 @@ def _renumber(keys: np.ndarray) -> np.ndarray:
 def _neighbour_table(g: Graph, width: int, offset: int) -> np.ndarray:
     """Row v lists the neighbours of v shifted by ``offset``, padded to
     ``width`` columns with the index ``-1``."""
-    rows = [[w + offset for w in nbrs] + [-1] * (width - len(nbrs)) for nbrs in g._adj]
+    rows = [[w + offset for w in _bits(row)] + [-1] * (width - row.bit_count())
+            for row in g._rows]
     return np.array(rows, dtype=np.intp).reshape(g.n, width)
 
 
@@ -493,7 +491,6 @@ def are_isomorphic(
     width = max(g.degrees())
     table = np.concatenate((_neighbour_table(g, width, 0),
                             _neighbour_table(h, width, n)))
-    adj_h = _adjacency_rows(h)
     frames: list[tuple[np.ndarray, int, Iterator[int]]] = []
 
     def enter(colours: Optional[np.ndarray]) -> Optional[tuple[int, ...]]:
@@ -511,7 +508,7 @@ def are_isomorphic(
         vertex_of[colours[n:]] = np.arange(n)
         mapping = vertex_of[colours[:n]].tolist()
         for u in range(n):
-            if sum(1 << mapping[w] for w in g.neighbors(u)) != adj_h[mapping[u]]:
+            if sum(1 << mapping[w] for w in _bits(g._rows[u])) != h._rows[mapping[u]]:
                 return None
         return tuple(mapping)
 

@@ -16,10 +16,11 @@ onward candidates first, ties by index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
 from .errors import BadPermutation, PreconditionFailed
-from .graphcore import Graph, _adjacency_rows, _bits
+from .graphcore import Graph, _bits
 
 __all__ = [
     "PathCertificate",
@@ -65,7 +66,7 @@ def verify_certificate(g: Graph, cert: PathCertificate) -> bool:
 # the window-ordering search
 
 
-def _connected(mask: int, table: list[int]) -> bool:
+def _connected(mask: int, table: Sequence[int]) -> bool:
     """Whether the vertices of ``mask`` induce a connected subgraph of the
     symmetric relation ``table``: a breadth-first search on bitsets."""
     seen = frontier = mask & -mask
@@ -161,7 +162,7 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
 # Hamiltonian path
 
 
-def _rotation_extension_path(rows: list[int]) -> list[int] | None:
+def _rotation_extension_path(rows: Sequence[int]) -> list[int] | None:
     """Cheap deterministic constructive attempt (greedy growth plus
     rotations) on adjacency bitset rows.  Any returned list is a genuine
     Hamiltonian path; None just means the heuristic gave up."""
@@ -217,7 +218,7 @@ def _rotation_extension_path(rows: list[int]) -> list[int] | None:
     return path
 
 
-def _splits_three_ways(rows: list[int]) -> bool:
+def _splits_three_ways(rows: Sequence[int]) -> bool:
     """Whether removing some vertex splits its component into three or
     more pieces (adjacency bitset rows): one iterative lowpoint
     depth-first search.
@@ -265,10 +266,10 @@ def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
     degree one, and, once the constructive attempt has failed, a vertex
     whose removal leaves three or more components (removing one vertex
     from a Hamiltonian path leaves at most two subpaths)."""
-    return _hamiltonian_path(_adjacency_rows(g), deadline)
+    return _hamiltonian_path(g._rows, deadline)
 
 
-def _hamiltonian_path(rows: list[int], deadline: int | SearchBudget | None):
+def _hamiltonian_path(rows: Sequence[int], deadline: int | SearchBudget | None):
     """:func:`find_hamiltonian_path` on a graph's adjacency bitset rows."""
     n = len(rows)
     degree_one = [v for v in range(n) if rows[v].bit_count() == 1]
@@ -300,10 +301,10 @@ def dirac_hamiltonian_path(g: Graph) -> PathCertificate:
     classic crossover exchange until it is a genuine Hamiltonian cycle,
     then removes the virtual vertex.  O(n^2), no search tree, total.
     """
-    return _dirac_path(_adjacency_rows(g))
+    return _dirac_path(g._rows)
 
 
-def _dirac_path(rows: list[int]) -> PathCertificate:
+def _dirac_path(rows: Sequence[int]) -> PathCertificate:
     """:func:`dirac_hamiltonian_path` on a graph's adjacency bitset rows."""
     n = len(rows)
     if n == 0:
@@ -364,7 +365,6 @@ def find_cycle_power(
         return None
 
     start = min(range(n), key=lambda v: (g.degree(v), v))
-    adjacency = _adjacency_rows(g)
     # the window of the last ``power`` positions, then the wrap-around
     # pairs (j, k) with n - k + j <= power not already in that window
     constraints = [
@@ -374,7 +374,7 @@ def find_cycle_power(
     ]
     allowed = [1 << start] + [(1 << n) - 1] * (n - 1)
     try:
-        order = _window_ordering([adjacency], constraints, allowed, as_budget(deadline))
+        order = _window_ordering([g._rows], constraints, allowed, as_budget(deadline))
     except BudgetExhausted:
         return TIMEOUT
     if order is None:

@@ -201,6 +201,17 @@ def test_label_singer_complement_method(tmp_path, capsys):
     assert lab.span == 7
 
 
+@pytest.mark.parametrize("method", ["singer", "singer-complement"])
+@pytest.mark.parametrize("family", [["complete", "3"], ["path", "3"]])
+def test_label_singer_rejects_three_vertices(tmp_path, capsys, method, family):
+    # 3 = q^2+q+1 only at q = 1, which is no field order
+    graph_file = str(tmp_path / "g.el")
+    run(capsys, "construct", *family, "-o", graph_file)
+    code, _, err = run(capsys, "label", graph_file, "--method", method)
+    assert code == 3
+    assert "3 vertices is not q^2+q+1 for any q" in err
+
+
 def test_label_hex_glue_budget_exhaustion(tmp_path, capsys):
     graph_file = str(tmp_path / "cage312.el")
     run(capsys, "construct", "cage-3-12", "-o", graph_file)

@@ -39,6 +39,14 @@ def test_graph_dedupes_edges():
     assert g.num_edges == 1
 
 
+def test_graph_takes_numpy_integer_edges():
+    ends = np.arange(100)
+    g = Graph(101, zip(ends, ends + 1))
+    assert g == rl.path(101) and g.is_edge(99, 100)
+    with pytest.raises(TypeError):
+        Graph(3, [(0, 1.0)])
+
+
 def test_distances_path3():
     g = Graph(3, [(0, 1), (1, 2)])
     d = all_pairs_distances(g)
@@ -361,6 +369,87 @@ def test_components_match_networkx_on_random_graphs():
         h.add_nodes_from(range(g.n))
         expected = sorted(sorted(c) for c in nx.connected_components(h))
         assert components(g) == expected
+
+
+def _edge_feed(n, p, rng):
+    """A seeded random graph on n vertices: its edge list, and the same
+    edges fed in shuffled order, each either way round, a third of them
+    twice.  Half the graphs only join two random sides, so that many are
+    bipartite."""
+    side = [rng.randint(0, 1) for _ in range(n)]
+    crossing = rng.random() < 0.5
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if (side[u] != side[v] or not crossing) and rng.random() < p
+    ]
+    fed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    fed += rng.sample(fed, len(fed) // 3)
+    rng.shuffle(fed)
+    return edges, fed
+
+
+def _nx_graph(n, edges):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    return h
+
+
+def _sorted_edges(h):
+    return sorted(tuple(sorted(e)) for e in h.edges())
+
+
+def test_graph_layer_matches_networkx_on_shuffled_duplicated_edges():
+    import networkx as nx
+
+    rng = random.Random(2027)
+    for _ in range(150):
+        n = rng.randint(0, 24)
+        edges, fed = _edge_feed(n, rng.uniform(0.0, 0.5), rng)
+        g, h = Graph(n, fed), _nx_graph(n, fed)
+        assert list(g.edges()) == _sorted_edges(h)
+        assert g.num_edges == h.number_of_edges()
+        assert g.degrees() == [h.degree(v) for v in range(n)]
+        degree, neighbours = rl.graphcore._csr(g)
+        assert degree.tolist() == g.degrees()
+        assert neighbours.tolist() == [v for u in range(n) for v in sorted(h[u])]
+        for u in range(n):
+            assert set(g.neighbors(u)) == set(h[u])
+            assert [g.is_edge(u, v) for v in range(n)] == [h.has_edge(u, v) for v in range(n)]
+        chosen = rng.sample(range(n), rng.randint(0, n))
+        sub = nx.relabel_nodes(h.subgraph(chosen), {v: i for i, v in enumerate(chosen)})
+        induced = g.induced_subgraph(chosen)
+        assert induced.n == len(chosen)
+        assert list(induced.edges()) == _sorted_edges(sub)
+        co = complement(g)
+        assert co.n == n and list(co.edges()) == _sorted_edges(nx.complement(h))
+        same = Graph(n, edges)
+        assert same == g and hash(same) == hash(g)
+
+
+def test_bipartition_matches_networkx_level_parity():
+    import networkx as nx
+
+    rng = random.Random(2028)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(0, 24)
+        _, fed = _edge_feed(n, rng.uniform(0.0, 0.4), rng)
+        g, h = Graph(n, fed), _nx_graph(n, fed)
+        colour = bipartition(g)
+        seen.add(colour is None)
+        if not nx.is_bipartite(h):
+            assert colour is None
+            continue
+        expected = [None] * n
+        for comp in nx.connected_components(h):
+            levels = nx.single_source_shortest_path_length(h, min(comp))
+            for v, level in levels.items():
+                expected[v] = level % 2
+        assert colour == tuple(expected)
+    assert seen == {True, False}
 
 
 def bipartite_regular_corpus():

@@ -19,7 +19,6 @@ from radiolab import (
 )
 
 from radiolab.budget import BudgetExhausted
-from radiolab.graphcore import _adjacency_rows
 from radiolab.hamsearch import _bits, _connected, _splits_three_ways, _window_ordering
 
 from conftest import (
@@ -120,7 +119,7 @@ def test_three_way_cut_vertex_matches_vertex_removal(seed):
             len(components(g.induced_subgraph([u for u in comp if u != v]))) >= 3
             for comp in components(g) for v in comp
         )
-        assert _splits_three_ways(_adjacency_rows(g)) == splits
+        assert _splits_three_ways(g._rows) == splits
 
 
 def _window_ordering_full_bfs(rows, constraints, allowed, budget):
