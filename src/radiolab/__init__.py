@@ -44,7 +44,6 @@ from .graphcore import (
     Graph,
     all_pairs_distances,
     antipodal,
-    antipodal_components,
     are_isomorphic,
     bipartite_moore_bound,
     bipartition,

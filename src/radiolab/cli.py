@@ -4,8 +4,9 @@ Subcommands: construct, analyze, label, verify, radio-number,
 check-sequence.  Exit codes: 0 success/OK, 1 violations or a proven
 negative, 2 search budget exhausted, 3 usage errors.  Node budgets come
 from --budget, then the RADIOLAB_NODE_BUDGET environment variable, then
-the built-in default; there is no randomness anywhere, so identical
-invocations give byte-identical output.
+the built-in default; radio-number has no --budget flag and takes the
+other two.  There is no randomness anywhere, so identical invocations
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import BadParams, RadioLabError
 from .graphcore import (
     Graph,
     antipodal,
-    antipodal_components,
     are_isomorphic,
+    components,
     complement,
     diameter,
 )
@@ -315,11 +316,12 @@ def cmd_check_sequence(args) -> int:
         target, order = g, seq
     else:
         comp = sorted(vertices)
-        if comp not in antipodal_components(g):
+        a = antipodal(g)
+        if comp not in components(a):
             print("sequence is neither all vertices nor one antipodal component",
                   file=sys.stderr)
             return EXIT_USAGE
-        target = antipodal(g).induced_subgraph(comp)
+        target = a.induced_subgraph(comp)
         index = {v: i for i, v in enumerate(comp)}
         order = [index[v] for v in seq]
     kind = "cycle_power" if is_cycle else "path"

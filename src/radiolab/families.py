@@ -2,7 +2,8 @@
 
 Every constructor documents its vertex numbering, because downstream
 labelings and stored benchmark sequences refer to vertices by index.
-Incidence graphs carry ``parts`` labels (0 = points, 1 = lines).
+Incidence graphs number their points before their lines, so the side
+that :func:`~radiolab.graphcore.bipartition` colours 0 is the points.
 """
 
 from __future__ import annotations
@@ -73,11 +74,7 @@ def path(n: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise BadParams("complete bipartite graph needs both sides >= 1")
-    return Graph(
-        a + b,
-        [(i, a + j) for i in range(a) for j in range(b)],
-        parts=[0] * a + [1] * b,
-    )
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def tadpole(m: int, n: int) -> Graph:
@@ -184,7 +181,7 @@ def projective_plane_incidence(q: int) -> Graph:
     n = len(pts)
     points, lines = np.nonzero(_orthogonality(f, pts, lambda u: u))
     edges = zip(points.tolist(), (lines + n).tolist())
-    return Graph(2 * n, edges, parts=[0] * n + [1] * n)
+    return Graph(2 * n, edges)
 
 
 def generalized_quadrangle_incidence(q: int) -> Graph:
@@ -214,7 +211,7 @@ def generalized_quadrangle_incidence(q: int) -> Graph:
     lines = sorted(map(tuple, np.nonzero(orth[first] & orth[second])[1]
                        .reshape(n, q + 1).tolist()))
     edges = [(p, n + li) for li, line in enumerate(lines) for p in line]
-    g = Graph(2 * n, edges, parts=[0] * n + [1] * n)
+    g = Graph(2 * n, edges)
     if regularity(g) != q + 1:
         raise AssertionError(f"W({q}) incidence graph is not {q + 1}-regular")
     if diameter(g) != 4 or g.n != bipartite_moore_bound(q + 1, 4):

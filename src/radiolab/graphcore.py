@@ -27,7 +27,6 @@ __all__ = [
     "diameter",
     "girth",
     "antipodal",
-    "antipodal_components",
     "complement",
     "bipartition",
     "components",
@@ -41,7 +40,7 @@ UNREACHABLE = -1
 
 
 class Graph:
-    """Simple undirected graph with optional bipartition labels.
+    """Simple undirected graph.
 
     The adjacency is one bitset row per vertex, read as is by every
     search: ``_rows[v]`` is a Python int whose bit w is set when w is a
@@ -50,20 +49,11 @@ class Graph:
     but a sparse graph of more than about 10^5 vertices costs more to
     build than as neighbour sets, a row being as long as its highest
     neighbour's index.
-
-    ``parts``, when given, is a 0/1 label per vertex and every edge must
-    join the two sides; constructors of incidence graphs use it to keep
-    the point/line split around.
     """
 
-    __slots__ = ("n", "parts", "num_edges", "_rows", "_distances")
+    __slots__ = ("n", "num_edges", "_rows", "_distances")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        parts: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         rows = [0] * n
@@ -78,14 +68,6 @@ class Graph:
         self.n = n
         self.num_edges = sum(map(int.bit_count, rows)) // 2
         self._rows: tuple[int, ...] = tuple(rows)
-        if parts is not None:
-            parts = tuple(int(x) for x in parts)
-            if len(parts) != n or any(x not in (0, 1) for x in parts):
-                raise ValueError("parts must be one 0/1 label per vertex")
-            for u, v in self.edges():
-                if parts[u] == parts[v]:
-                    raise ValueError(f"edge ({u},{v}) does not cross parts")
-        self.parts = parts
         self._distances: Optional[np.ndarray] = None
 
     @classmethod
@@ -96,7 +78,6 @@ class Graph:
         g.n = len(rows)
         g.num_edges = sum(map(int.bit_count, rows)) // 2
         g._rows = rows
-        g.parts = None
         g._distances = None
         return g
 
@@ -125,24 +106,23 @@ class Graph:
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise ValueError("vertex list for induced subgraph has repeats")
+        if not all(0 <= v < self.n for v in index):
+            raise ValueError(f"induced subgraph vertex outside 0..{self.n - 1}")
         edges = [
             (index[u], index[v])
             for u in vertices
             for v in _bits(self._rows[u])
             if u < v and v in index
         ]
-        parts = None
-        if self.parts is not None:
-            parts = tuple(self.parts[v] for v in vertices)
-        return Graph(len(vertices), edges, parts=parts)
+        return Graph(len(vertices), edges)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._rows == other._rows and self.parts == other.parts
+        return self._rows == other._rows
 
     def __hash__(self):
-        return hash((self._rows, self.parts))
+        return hash(self._rows)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -251,8 +231,8 @@ def girth(g: Graph) -> Optional[int]:
     least such length over all roots is the girth.  UNREACHABLE entries
     never match.
 
-    In a bipartite graph (``g.parts``, else :func:`bipartition`) every
-    cycle alternates sides and no edge has both ends at one distance, so
+    In a bipartite graph (one with a :func:`bipartition`) every cycle
+    alternates sides and no edge has both ends at one distance, so
     the roots are only the vertices on the side of vertex 0 and the odd
     test is skipped.  Roots go in blocks of ``max(1, 2**18 // (2m))``
     rows.  Every temporary holds the block's rows at no more than one
@@ -262,7 +242,7 @@ def girth(g: Graph) -> Optional[int]:
     if g.num_edges == 0:
         return None
     dist = all_pairs_distances(g)
-    parts = g.parts if g.parts is not None else bipartition(g)
+    parts = bipartition(g)
     degree, neighbours = _csr(g)
     owner = np.repeat(np.arange(g.n), degree)
     active = np.flatnonzero(degree)  # reduceat needs non-empty segments
@@ -294,8 +274,26 @@ def girth(g: Graph) -> Optional[int]:
 
 
 def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by minimum vertex."""
-    return _row_components(g._rows)
+    """Connected components as sorted vertex lists, ordered by minimum
+    vertex: a depth-first search in which each vertex reached ORs in its
+    bitset row once."""
+    rows = g._rows
+    seen = 0
+    out = []
+    for start in range(g.n):
+        if seen >> start & 1:
+            continue
+        seen |= 1 << start
+        comp = [start]
+        stack = [start]
+        while stack:
+            new = rows[stack.pop()] & ~seen
+            seen |= new
+            for v in _bits(new):
+                comp.append(v)
+                stack.append(v)
+        out.append(sorted(comp))
+    return out
 
 
 def antipodal(g: Graph) -> Graph:
@@ -306,7 +304,9 @@ def antipodal(g: Graph) -> Graph:
     diameter is 0): beyond the distance matrix this needs the n-by-n mask
     and its packed bits, and builds no neighbour sets.
     """
-    return Graph._trusted(tuple(_antipodal_rows(g)))
+    mask = all_pairs_distances(g) == diameter(g)
+    np.fill_diagonal(mask, False)
+    return Graph._trusted(tuple(_bit_rows(mask)))
 
 
 def _bit_rows(mask: np.ndarray) -> list[int]:
@@ -323,43 +323,6 @@ def _bits(x: int) -> list[int]:
         out.append(low.bit_length() - 1)
         x ^= low
     return out
-
-
-def _antipodal_rows(g: Graph) -> list[int]:
-    """The adjacency rows of the antipodal graph: row v of ``dist ==
-    diam(g)`` as a Python-int bitset, without its diagonal bit."""
-    mask = all_pairs_distances(g) == diameter(g)
-    np.fill_diagonal(mask, False)
-    return _bit_rows(mask)
-
-
-def _row_components(rows: Sequence[int]) -> list[list[int]]:
-    """Connected components of the symmetric relation ``rows`` (bitset
-    rows), as sorted vertex lists ordered by minimum vertex: a
-    depth-first search in which each vertex reached ORs in its row once.
-    """
-    seen = 0
-    out = []
-    for start in range(len(rows)):
-        if seen >> start & 1:
-            continue
-        seen |= 1 << start
-        comp = [start]
-        stack = [start]
-        while stack:
-            new = rows[stack.pop()] & ~seen
-            seen |= new
-            for v in _bits(new):
-                comp.append(v)
-                stack.append(v)
-        out.append(sorted(comp))
-    return out
-
-
-def antipodal_components(g: Graph) -> list[list[int]]:
-    """``components(antipodal(g))``, read from the distance matrix
-    without building the antipodal graph."""
-    return _row_components(_antipodal_rows(g))
 
 
 def complement(g: Graph) -> Graph:

@@ -9,8 +9,10 @@ powers and the cage labelings.  Hamiltonian paths try a constructive
 rotation-extension path first, then two root rules that prove absence
 without search nodes (more than two degree-one vertices; a vertex whose
 removal leaves three components, found by one lowpoint depth-first
-search).  Results are deterministic: the window search tries fewest
-onward candidates first, ties by index.
+search).  Every search reads the bitset rows of the ``Graph`` it is
+given; the gracefulness analyzer hands it the antipodal graph.  Results
+are deterministic: the window search tries fewest onward candidates
+first, ties by index.
 """
 
 from __future__ import annotations
@@ -266,12 +268,7 @@ def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
     degree one, and, once the constructive attempt has failed, a vertex
     whose removal leaves three or more components (removing one vertex
     from a Hamiltonian path leaves at most two subpaths)."""
-    return _hamiltonian_path(g._rows, deadline)
-
-
-def _hamiltonian_path(rows: Sequence[int], deadline: int | SearchBudget | None):
-    """:func:`find_hamiltonian_path` on a graph's adjacency bitset rows."""
-    n = len(rows)
+    rows, n = g._rows, g.n
     degree_one = [v for v in range(n) if rows[v].bit_count() == 1]
     if len(degree_one) > 2:
         return None
@@ -301,12 +298,7 @@ def dirac_hamiltonian_path(g: Graph) -> PathCertificate:
     classic crossover exchange until it is a genuine Hamiltonian cycle,
     then removes the virtual vertex.  O(n^2), no search tree, total.
     """
-    return _dirac_path(g._rows)
-
-
-def _dirac_path(rows: Sequence[int]) -> PathCertificate:
-    """:func:`dirac_hamiltonian_path` on a graph's adjacency bitset rows."""
-    n = len(rows)
+    rows, n = g._rows, g.n
     if n == 0:
         return PathCertificate((), "path")
     if n == 1:

@@ -36,22 +36,20 @@ from .families import _difference_set_graph
 from .field import DifferenceSet, singer_difference_set
 from .graphcore import (
     Graph,
-    _antipodal_rows,
     _bit_rows,
-    _row_components,
     all_pairs_distances,
-    antipodal_components,
+    antipodal,
     bipartite_moore_bound,
     bipartition,
     complement,
+    components,
     diameter,
     regularity,
 )
 from .hamsearch import (
     PathCertificate,
-    _dirac_path,
-    _hamiltonian_path,
     _window_ordering,
+    dirac_hamiltonian_path,
     find_hamiltonian_path,
 )
 
@@ -240,7 +238,7 @@ def label_from_antipodal_path(g: Graph, cert: PathCertificate) -> RadioLabeling:
 
 
 def _cage_parts(g: Graph) -> tuple[list[int], list[int]]:
-    parts = g.parts if g.parts is not None else bipartition(g)
+    parts = bipartition(g)
     if parts is None:
         raise PreconditionFailed("graph is not bipartite")
     side0 = [v for v in range(g.n) if parts[v] == parts[0]]
@@ -267,7 +265,7 @@ def _label_cage(g: Graph, deadline, diam: int):
         raise PreconditionFailed(f"diameter is {g_diam}, need {diam}")
     if g.n != bipartite_moore_bound(k, diam):
         raise PreconditionFailed(f"girth is not {2 * diam}")
-    if sorted(antipodal_components(g)) != sorted([side0, side1]):
+    if sorted(components(antipodal(g))) != sorted([side0, side1]):
         raise PreconditionFailed("antipodal components do not match the two parts")
 
     m = len(side0)
@@ -578,9 +576,9 @@ def analyze(
     disconnected antipodal graph; bounded-degree diameter 2 (guaranteed
     path); antipodal path search for diameter 2 or bipartite diameter 3
     (where traceability is equivalent to gracefulness); otherwise Unknown
-    with honest bounds.  Every rule reads the antipodal graph as one set
-    of bitset rows, ``dist == diam``: its components, the Dirac
-    construction and the path search all run on them.
+    with honest bounds.  Every rule reads the one antipodal graph built
+    from ``dist == diam``: its components, the Dirac construction and the
+    path search.
     """
     n = g.n
     if n == 0:
@@ -598,8 +596,8 @@ def analyze(
         return graceful("trivial-diameter", labeling)
 
     parts = bipartition(g)
-    rows = _antipodal_rows(g)
-    comps = tuple(map(tuple, _row_components(rows)))
+    a = antipodal(g)
+    comps = tuple(map(tuple, components(a)))
     if parts is not None and diam % 2 == 0:
         return not_graceful(
             "bipartite-even-diameter",
@@ -614,11 +612,11 @@ def analyze(
         return AnalysisVerdict(UNKNOWN, "no-decisive-rule", None, n, None)
 
     if diam == 2 and 2 * max(g.degrees()) <= n - 1:
-        labeling = label_from_antipodal_path(g, _dirac_path(rows))
+        labeling = label_from_antipodal_path(g, dirac_hamiltonian_path(a))
         return graceful("diameter-2-bounded-degree", labeling)
 
     budget = as_budget(deadline)
-    result = _hamiltonian_path(rows, budget)
+    result = find_hamiltonian_path(a, budget)
     if isinstance(result, PathCertificate):
         labeling = label_from_antipodal_path(g, result)
         return graceful("antipodal-path-found", labeling)

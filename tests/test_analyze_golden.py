@@ -130,18 +130,23 @@ def test_analyze_verdict(golden, key):
 
 @pytest.mark.parametrize("key", ["petersen", "pg-3", "erq-5", "mms-5",
                                  "complement-cycle-9", "diameter2-0", "random-124"])
-def test_analyze_needs_no_antipodal_graph(golden, key, monkeypatch):
-    # analyze reads the antipodal graph as bitset rows of the distance
-    # matrix: neither the frozenset antipodal graph nor its walk is used
+def test_analyze_reads_one_antipodal_graph(golden, key, monkeypatch):
+    # analyze builds antipodal(g) once and hands that Graph to the public
+    # component and path functions
     g = build(key)
+    calls = []
+    for name in ("antipodal", "components", "dirac_hamiltonian_path",
+                 "find_hamiltonian_path"):
+        def spy(h, *args, _fn=getattr(rl.radio, name), _name=name):
+            calls.append((_name, h))
+            return _fn(h, *args)
 
-    def unused(*args):
-        raise AssertionError("analyze built or walked an antipodal Graph")
-
-    for name in ("antipodal", "components"):
-        monkeypatch.setattr(rl.graphcore, name, unused)
-        monkeypatch.setattr(rl.radio, name, unused, raising=False)
+        monkeypatch.setattr(rl.radio, name, spy)
     assert record_of(g) == golden[key]
+    (first, source), (second, a), (path_search, b) = calls
+    assert (first, second) == ("antipodal", "components") and source is g
+    assert path_search in ("dirac_hamiltonian_path", "find_hamiltonian_path")
+    assert a == rl.antipodal(g) and b is a
 
 
 if __name__ == "__main__":

@@ -76,8 +76,7 @@ def test_projective_plane_incidence_invariants(q):
     assert regularity(g) == q + 1
     assert diameter(g) == 3
     assert girth(g) == 6
-    parts = g.parts
-    assert parts is not None and sum(parts) == m
+    assert bipartition(g) == (0,) * m + (1,) * m
 
 
 def reference_orthogonality(q, ncoords, form):
@@ -140,7 +139,7 @@ def test_generalized_quadrangle_invariants(q):
     assert regularity(g) == q + 1
     assert diameter(g) == 4
     assert girth(g) == 8
-    assert sum(g.parts) == m
+    assert bipartition(g) == (0,) * m + (1,) * m
 
 
 def test_gq2_is_tutte_coxeter():

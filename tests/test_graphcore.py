@@ -10,7 +10,6 @@ from radiolab import (
     Graph,
     all_pairs_distances,
     antipodal,
-    antipodal_components,
     are_isomorphic,
     bipartite_moore_bound,
     bipartition,
@@ -30,8 +29,13 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 5)])
-    with pytest.raises(ValueError):
-        Graph(4, [(0, 1)], parts=[0, 0, 1, 1])  # edge inside a part
+
+
+def test_induced_subgraph_rejects_vertices_outside_the_graph():
+    # -1 would otherwise index the last row and alias vertex 3
+    for vertices in ([-1, 2], [0, 7]):
+        with pytest.raises(ValueError):
+            rl.path(4).induced_subgraph(vertices)
 
 
 def test_graph_dedupes_edges():
@@ -213,37 +217,28 @@ def test_girth_matches_reference_on_families(make):
     assert girth(g) == reference_girth(g)
 
 
-def bipartite_with_parts_corpus(count, seed):
-    """Seeded bipartite graphs that carry ``parts``: up to three random
-    bipartite blocks side by side, each block's sides labelled 0/1 or
-    1/0 at random, so vertex 0's side has either label in the other
-    components; some vertices stay isolated."""
+def bipartite_corpus(count, seed):
+    """Seeded bipartite graphs: up to three random bipartite blocks side
+    by side; some vertices stay isolated."""
     rng = random.Random(seed)
     for _ in range(count):
-        edges, parts, offset = [], [], 0
+        edges, offset = [], 0
         for _ in range(rng.randint(1, 3)):
             a, b = rng.randint(1, 12), rng.randint(0, 12)
             p = rng.uniform(0.5, 3.0) / max(a, b, 1)
             edges += [(offset + u, offset + a + v) for u in range(a) for v in range(b)
                       if rng.random() < p]
-            flip = rng.randrange(2)
-            parts += [flip] * a + [1 - flip] * b
             offset += a + b
-        yield Graph(offset, edges, parts=parts)
+        yield Graph(offset, edges)
 
 
 def test_girth_on_one_side_matches_reference_on_bipartite_graphs():
-    girths, flipped = set(), set()
-    for g in bipartite_with_parts_corpus(800, seed=13):
+    girths = set()
+    for g in bipartite_corpus(800, seed=13):
         got = girth(g)
-        assert got == reference_girth(g), (g.n, list(g.edges()), g.parts)
+        assert got == reference_girth(g), (g.n, list(g.edges()))
         girths.add(got)
-        # does a component with a cycle have its least vertex on the
-        # side that vertex 0's label does not name?
-        flipped.add(any(g.parts[c[0]] != g.parts[0]
-                        and reference_girth(g.induced_subgraph(c)) is not None
-                        for c in components(g)))
-    assert {None, 4, 6} <= girths and flipped == {True, False}
+    assert {None, 4, 6} <= girths
 
 
 def antipodal_components_corpus():
@@ -258,18 +253,23 @@ def antipodal_components_corpus():
     yield from (rl.complete_bipartite(3, 4), rl.complete(5))
 
 
-def test_antipodal_components_match_antipodal_graph():
+def test_antipodal_components_match_networkx():
+    import networkx as nx
+
     sizes = set()
     for g in antipodal_components_corpus():
-        got = antipodal_components(g)
-        assert got == components(antipodal(g)), (g.n, list(g.edges()))
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        dist = dict(nx.all_pairs_shortest_path_length(h))
+        diam = max(max(row.values()) for row in dist.values())
+        far = nx.Graph((u, v) for u in range(g.n) for v, d in dist[u].items()
+                       if u < v and d == diam)
+        far.add_nodes_from(range(g.n))
+        want = sorted(sorted(c) for c in nx.connected_components(far))
+        got = components(antipodal(g))
+        assert got == want, (g.n, list(g.edges()))
         sizes.add(min(len(got), 3))
     assert sizes == {1, 2, 3}  # connected and disconnected antipodal graphs
-
-
-def test_antipodal_components_requires_connected():
-    with pytest.raises(Disconnected):
-        antipodal_components(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_distance_matrix_is_kept_read_only_on_its_graph(distance_matrix_calls):
@@ -637,7 +637,7 @@ def test_bipartite_diameter3_antipodal_structure(q):
     the same parts, and each cross pair is an edge of exactly one of the
     two graphs."""
     g = rl.projective_plane_incidence(q)
-    parts = g.parts
+    parts = bipartition(g)
     a = antipodal(g)
     for u, v in a.edges():
         assert parts[u] != parts[v]

@@ -170,7 +170,7 @@ def test_heawood_labeling_structure():
     assert verify(g, lab) == []
     dist = all_pairs_distances(g)
     pos = sorted(range(g.n), key=lambda v: lab.labels[v])
-    parts = g.parts
+    parts = rl.bipartition(g)
     for i in range(g.n - 1):
         # consecutive labels sit at maximum distance
         assert dist[pos[i], pos[i + 1]] == 3
@@ -568,7 +568,7 @@ def test_analyze_near_complete_regular_bipartite():
             for j in range(m)
             if j not in (i, (i + 1) % m)
         ]
-        g = Graph(2 * m, edges, parts=[0] * m + [1] * m)
+        g = Graph(2 * m, edges)
         assert rl.regularity(g) == m - 2
         a = antipodal(g)
         assert rl.regularity(a) == 2 and len(rl.components(a)) == 1
