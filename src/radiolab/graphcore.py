@@ -81,10 +81,9 @@ class Graph:
         g._distances = None
         return g
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        # a set filled in ascending order fixes the iteration order,
-        # which tests/data/antipodal_golden.json pins
-        return frozenset(set(_bits(self._rows[v])))
+    def neighbors(self, v: int) -> list[int]:
+        """The neighbours of v in increasing order."""
+        return _bits(self._rows[v])
 
     def degree(self, v: int) -> int:
         return self._rows[v].bit_count()

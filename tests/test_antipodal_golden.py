@@ -1,13 +1,12 @@
-"""Golden neighbour order of the antipodal graphs of the family graphs.
+"""Golden antipodal graphs of the family graphs.
 
-``antipodal`` builds each adjacency set the way the edge-list constructor
-does, so its neighbour iteration order is part of what it returns.  For
-each family graph of the geometry benchmark, and for the Petersen graph,
-this stores a sha256 of
-``[list(a.neighbors(v)) for v in range(n)]`` where ``a = antipodal(g)``.
+For each family graph of the geometry benchmark, and for the Petersen
+graph, this stores a sha256 of ``[a.neighbors(v) for v in range(n)]``
+where ``a = antipodal(g)``: the sorted neighbour list of every vertex,
+which pins the antipodal edge set.
 
 The expected data lives in ``data/antipodal_golden.json``.  After an
-intended change of neighbour order, regenerate it with
+intended change of the antipodal graphs, regenerate it with
 
     PYTHONPATH=src python tests/test_antipodal_golden.py
 
@@ -47,7 +46,7 @@ def record(key: str) -> str:
         name, q = key.rsplit("-", 1)
         g = BUILDERS[name][0](int(q))
     a = rl.antipodal(g)
-    order = [list(a.neighbors(v)) for v in range(a.n)]
+    order = [a.neighbors(v) for v in range(a.n)]
     return hashlib.sha256(json.dumps(order).encode("ascii")).hexdigest()
 
 

@@ -90,7 +90,7 @@ def swap_nearest_labels(g, labels):
     order = sorted(range(g.n), key=f.__getitem__)
     i = min(range(g.n - 1), key=lambda i: f[order[i + 1]] - f[order[i]])
     u, w = order[i], order[i + 1]
-    v = min(g.neighbors(u) - {w})
+    v = next(x for x in g.neighbors(u) if x != w)
     f[v], f[w] = f[w], f[v]
     return RadioLabeling(tuple(f))
 
