@@ -156,6 +156,12 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     return g._distances
 
 
+# a BFS level with at least 1/_DENSE_LEVEL of its words nonzero is written
+# by one unpack of the whole level (8 slows paths, whose levels have about
+# 2 nonzero words of 10 per row; 2, 4 and 8 time alike on PG(2,q) and W(q))
+_DENSE_LEVEL = 4
+
+
 def _bfs_distances(g: Graph) -> np.ndarray:
     """The distance matrix of ``g``, computed afresh.
 
@@ -167,7 +173,12 @@ def _bfs_distances(g: Graph) -> np.ndarray:
     ``bitwise_or.reduceat`` over the CSR neighbour lists.  Isolated
     vertices are left out of it, because ``reduceat`` returns the element
     at the start of an empty segment instead of nothing.  The bits new at
-    level k are written as distance k.
+    level k are written as distance k.  When at least a quarter of the
+    words of a level are nonzero, the level is unpacked whole into an n x n
+    mask (little-endian words, so the ``uint8`` view puts vertex v at bit v
+    of its row), one write; otherwise its set bits are walked, lowest
+    first, by ``w & -w``.  Always unpacking would cost an n x n pass per
+    level, which a graph of diameter 600 cannot afford.
     """
     n = g.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
@@ -178,7 +189,7 @@ def _bfs_distances(g: Graph) -> np.ndarray:
         return dist
     starts = (np.cumsum(degree) - degree)[has_neighbours]
     vertices = np.arange(n)
-    balls = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    balls = np.zeros((n, (n + 63) // 64), dtype="<u8")  # little-endian for the uint8 view
     balls[vertices, vertices >> 6] = np.left_shift(
         np.uint64(1), (vertices & 63).astype(np.uint64)
     )
@@ -190,9 +201,15 @@ def _bfs_distances(g: Graph) -> np.ndarray:
             balls[neighbours], starts, axis=0
         )
         new = grown & ~balls
-        rows, words = np.nonzero(new)
-        if rows.size == 0:
+        nonzero = np.count_nonzero(new)
+        if nonzero == 0:
             return dist
+        balls = grown
+        if nonzero * _DENSE_LEVEL >= new.size:
+            mask = np.unpackbits(new.view(np.uint8), axis=1, count=n, bitorder="little")
+            dist[mask.view(bool)] = level
+            continue
+        rows, words = np.nonzero(new)
         bits = new[rows, words]
         first_column = words * 64
         while bits.size:
@@ -203,7 +220,6 @@ def _bfs_distances(g: Graph) -> np.ndarray:
             bits ^= lowest
             left = bits != 0
             rows, first_column, bits = rows[left], first_column[left], bits[left]
-        balls = grown
 
 
 def diameter(g: Graph) -> int:

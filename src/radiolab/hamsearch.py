@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
 from .errors import BadPermutation, PreconditionFailed
 from .graphcore import Graph, _bits
@@ -81,6 +83,10 @@ def _connected(mask: int, table: Sequence[int]) -> bool:
     return seen == mask
 
 
+# positions with more candidates than this score them in one numpy batch
+_BATCH_CANDIDATES = 256
+
+
 def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
     """Distinct vertices for positions 0..len(allowed)-1: the one at k lies
     in ``allowed[k]`` and in ``rows[t][order[j]]`` for every ``(j, t)`` in
@@ -88,7 +94,13 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
 
     Candidates go fewest onward candidates (the next position's candidate
     set once they are placed) first, ties by index; one that leaves the
-    next position empty is skipped.
+    next position empty is skipped.  A position with more than
+    ``_BATCH_CANDIDATES`` candidates scores them all at once: the tables
+    that tie it to the next position are packed on first use into n x
+    words arrays of little-endian uint64 rows, the candidates' rows are
+    gathered and ANDed with the next position's set, each candidate's own
+    bit is cleared, and ``np.bitwise_count`` counts the rest; a lexsort on
+    (count, index) gives the same order as the loop on smaller sets.
 
     When one table ties every position k >= 1 to k-1 and the positions
     take every vertex of ``allowed``, the ordering is a Hamiltonian path of
@@ -116,6 +128,18 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
         chain = next((rows[t] for t in ties[0] if all(t in s for s in ties)), None)
     if chain is not None and not _connected(free, chain):
         return None
+    packed: dict = {}
+
+    def pack(t) -> np.ndarray:
+        """Table t as an n x words array of little-endian uint64 rows,
+        packed on first use."""
+        if t not in packed:
+            table = rows[t]
+            width = (len(table) + 63) // 64 * 8
+            packed[t] = np.frombuffer(
+                b"".join(row.to_bytes(width, "little") for row in table), dtype="<u8"
+            ).reshape(len(table), -1)
+        return packed[t]
 
     def ranked(k: int) -> list[int]:
         cand = allowed[k] & free
@@ -124,14 +148,30 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
         if k + 1 == size:
             return _bits(cand)
         base = allowed[k + 1] & free
-        links = [rows[t] for j, t in constraints[k + 1] if j == k]
+        links = [t for j, t in constraints[k + 1] if j == k]
         for j, t in constraints[k + 1]:
             if j < k:
                 base &= rows[t][order[j]]
+        if links and cand.bit_count() > _BATCH_CANDIDATES:
+            # the same scores for all candidates at once, on packed rows
+            first, *rest = (pack(t) for t in links)
+            width = first.shape[1] * 8
+            cs = np.flatnonzero(np.unpackbits(
+                np.frombuffer(cand.to_bytes(width, "little"), dtype=np.uint8),
+                bitorder="little"))
+            onward = np.frombuffer(base.to_bytes(width, "little"), dtype="<u8") & first[cs]
+            for table in rest:
+                onward &= table[cs]
+            onward[np.arange(cs.size), cs >> 6] &= ~np.left_shift(
+                np.uint64(1), (cs & 63).astype(np.uint64))
+            counts = np.bitwise_count(onward).sum(axis=1)
+            cs, counts = cs[counts > 0], counts[counts > 0]
+            return cs[np.lexsort((cs, counts))].tolist()
+        tables = [rows[t] for t in links]
         scored = []
         for c in _bits(cand):
             onward = base & ~(1 << c)
-            for table in links:
+            for table in tables:
                 onward &= table[c]
             if onward:
                 scored.append((onward.bit_count(), c))
@@ -167,14 +207,23 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
 def _rotation_extension_path(rows: Sequence[int]) -> list[int] | None:
     """Cheap deterministic constructive attempt (greedy growth plus
     rotations) on adjacency bitset rows.  Any returned list is a genuine
-    Hamiltonian path; None just means the heuristic gave up."""
+    Hamiltonian path; None just means the heuristic gave up.
+
+    The path starts at the least vertex of least degree and grows at an
+    end by its fresh neighbour of least (degree, index): the lowest set
+    bit of ``fresh & cls`` for the first degree-class mask ``cls`` that
+    meets the fresh neighbours, one AND per class instead of a walk over
+    every fresh bit."""
     n = len(rows)
     if n == 0:
         return []
-    # vertices ranked by (degree, index) once per search
-    by_rank = sorted(range(n), key=lambda v: rows[v].bit_count())
-    key = {v: i for i, v in enumerate(by_rank)}.__getitem__
-    start = by_rank[0]
+    # one bitset per degree class, in ascending degree, once per search
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    classes = [by_degree[d] for d in sorted(by_degree)]
+    start = (classes[0] & -classes[0]).bit_length() - 1
     path = [start]
     on_path = 1 << start
     while len(path) < n:
@@ -182,7 +231,11 @@ def _rotation_extension_path(rows: Sequence[int]) -> list[int] | None:
         for _ in range(2):
             fresh = rows[path[-1]] & ~on_path
             if fresh:
-                w = min(_bits(fresh), key=key)
+                for cls in classes:
+                    pick = fresh & cls
+                    if pick:
+                        break
+                w = (pick & -pick).bit_length() - 1
                 path.append(w)
                 on_path |= 1 << w
                 extended = True

@@ -5,7 +5,9 @@ ordering their window search finds, and its candidate order (fewest
 onward candidates first, ties by index) decides which.  Node counts alone
 do not pin that order, so this file stores a sha256 of each labeling's
 labels, for W(q) at q = 2, 3, 4, 5, 7, 8 and the bundled cage-4-8 (the
-quadrangle search) and cage-3-12 (the hexagon search).
+quadrangle search) and cage-3-12 (the hexagon search).  W(7) and W(8)
+have 400 and 585 vertices per side, enough for the search to score the
+first positions' candidates in one numpy batch.
 
 The expected data lives in ``data/cage_golden.json``.  After an intended
 change of the search order, regenerate it with
@@ -51,6 +53,14 @@ def test_golden_covers_keys(golden):
 
 @pytest.mark.parametrize("key", KEYS)
 def test_cage_labeling_golden(golden, key):
+    assert record(key) == golden[key]
+
+
+@pytest.mark.parametrize("key", ["w-2", "w-3", "w-4", "w-5", "cage-3-12"])
+def test_batched_scoring_keeps_the_labeling(golden, key, monkeypatch):
+    # below W(7) no position has enough candidates for the numpy batch, so
+    # force it at every position
+    monkeypatch.setattr(rl.hamsearch, "_BATCH_CANDIDATES", 0)
     assert record(key) == golden[key]
 
 

@@ -85,8 +85,22 @@ def _with_isolated_vertices():
     return Graph(90, [(u, v) for u, v in edges if u % 5 and v % 5])
 
 
+def _dense_graph(n):
+    # G(n, 1/2): every BFS level is written by one unpack of its words
+    return random_graph(n, 0.5, random.Random(f"dense-{n}"))
+
+
+def _lollipop():
+    # K_40 on 0..39 with a 100-vertex tail from vertex 39: the first levels
+    # grow nearly every row and take the dense branch, the last ones grow
+    # only the rows of far-apart vertices and take the sparse one
+    clique = [(u, v) for u in range(40) for v in range(u + 1, 40)]
+    return Graph(140, clique + [(v, v + 1) for v in range(39, 139)])
+
+
 # rows of the distance kernel are bit-packed into 64-vertex words: the
-# inputs below cross word boundaries and reach diameters above 64
+# inputs below cross word boundaries, reach diameters above 64, and write
+# their levels by both branches of the kernel (dense and sparse levels)
 DISTANCE_INPUTS = (
     [pytest.param(lambda s=s: _seeded_graph(s), id=str(s)) for s in range(12)]
     + [
@@ -94,9 +108,15 @@ DISTANCE_INPUTS = (
         for n in (0, 1, 63, 64, 65, 128, 129)
     ]
     + [
+        pytest.param(lambda n=n: _dense_graph(n), id=f"dense{n}")
+        for n in (63, 64, 65, 129)
+    ]
+    + [
         pytest.param(_with_isolated_vertices, id="isolated"),
         pytest.param(lambda: rl.path(70), id="path70"),
         pytest.param(lambda: rl.cycle(140), id="cycle140"),
+        pytest.param(lambda: rl.projective_plane_incidence(7), id="pg7"),
+        pytest.param(_lollipop, id="lollipop"),
     ]
 )
 

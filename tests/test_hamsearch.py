@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,13 @@ from radiolab import (
 )
 
 from radiolab.budget import BudgetExhausted
-from radiolab.hamsearch import _bits, _connected, _splits_three_ways, _window_ordering
+from radiolab.hamsearch import (
+    _bits,
+    _connected,
+    _rotation_extension_path,
+    _splits_three_ways,
+    _window_ordering,
+)
 
 from conftest import (
     brute_has_ham_cycle,
@@ -81,6 +88,72 @@ def test_exact_search_alone_agrees_with_bruteforce(atlas6, monkeypatch):
         assert (got is not None) == brute_has_ham_path(g)
         if got is not None:
             assert verify_certificate(g, got)
+
+
+def _rotation_extension_by_min(rows):
+    """Reference for the degree-class masks: the constructive attempt that
+    ranks every fresh neighbour by (degree, index) and takes the least."""
+    n = len(rows)
+    if n == 0:
+        return []
+    by_rank = sorted(range(n), key=lambda v: rows[v].bit_count())
+    key = {v: i for i, v in enumerate(by_rank)}.__getitem__
+    path = [by_rank[0]]
+    on_path = 1 << path[0]
+    while len(path) < n:
+        extended = False
+        for _ in range(2):
+            fresh = rows[path[-1]] & ~on_path
+            if fresh:
+                w = min(_bits(fresh), key=key)
+                path.append(w)
+                on_path |= 1 << w
+                extended = True
+                break
+            path.reverse()
+        if extended:
+            continue
+        improved = False
+        for _ in range(2):
+            seen = {path[-1]}
+            queue = [path]
+            while queue and not improved:
+                cur = queue.pop(0)
+                pos = {v: i for i, v in enumerate(cur)}
+                for x in _bits(rows[cur[-1]]):
+                    i = pos[x]
+                    if i + 1 >= len(cur):
+                        continue
+                    rotated = cur[: i + 1] + cur[i + 1 :][::-1]
+                    if rows[rotated[-1]] & ~on_path:
+                        path = rotated
+                        improved = True
+                        break
+                    if rotated[-1] not in seen:
+                        seen.add(rotated[-1])
+                        queue.append(rotated)
+            if improved:
+                break
+            path.reverse()
+        if not improved:
+            return None
+    return path
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rotation_extension_matches_least_ranked_rule(seed):
+    # irregular graphs, most with several degree classes, some of which
+    # defeat the heuristic; the antipodal graphs of PG(2,q) are regular
+    rng = random.Random(7300 + seed)
+    found = failed = 0
+    for _ in range(60):
+        n = rng.randint(1, 90)
+        g = random_graph(n, rng.uniform(0.02, 0.5), rng)
+        got = _rotation_extension_path(g._rows)
+        assert got == _rotation_extension_by_min(g._rows)
+        found += got is not None
+        failed += got is None
+    assert found and failed
 
 
 def _cycles_at_a_vertex(lengths):
@@ -181,11 +254,12 @@ def _window_ordering_full_bfs(rows, constraints, allowed, budget):
     return None
 
 
-def _window_run(search, g, power, nodes):
+def _window_run(search, g, power, nodes, loops=False):
     """The ordering and node count of a path (power 0) or cycle-power
-    window search over g's adjacency rows; TIMEOUT past ``nodes``."""
+    window search over g's adjacency rows, each with its own bit when
+    ``loops``; TIMEOUT past ``nodes``."""
     n = g.n
-    adjacency = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    adjacency = [sum(1 << w for w in g.neighbors(v)) | loops << v for v in range(n)]
     if power == 0:
         constraints = [[]] + [[(k - 1, 0)] for k in range(1, n)]
     else:
@@ -208,6 +282,19 @@ def test_connectivity_pretest_keeps_every_node_count(seed):
         for power in (0, 1, 2):
             assert (_window_run(_window_ordering, g, power, 3000)
                     == _window_run(_window_ordering_full_bfs, g, power, 3000))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_scoring_keeps_every_ordering(seed, monkeypatch):
+    # score every position in one numpy batch, whatever its candidate count
+    # (a table with loops checks that a candidate does not count itself)
+    monkeypatch.setattr(rl.hamsearch, "_BATCH_CANDIDATES", 0)
+    rng = random.Random(7500 + seed)
+    for _ in range(8):
+        g = random_graph(rng.randint(6, 100), rng.uniform(0.05, 0.45), rng)
+        for power, loops in itertools.product((0, 1, 2), (False, True)):
+            assert (_window_run(_window_ordering, g, power, 500, loops)
+                    == _window_run(_window_ordering_full_bfs, g, power, 500, loops))
 
 
 def test_connectivity_pretest_keeps_the_long_square_search():
