@@ -128,6 +128,8 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
         chain = next((rows[t] for t in ties[0] if all(t in s for s in ties)), None)
     if chain is not None and not _connected(free, chain):
         return None
+    # ranked(k) scores by the tables that tie position k+1 to k: ties[k]
+    tie_rows = [[rows[t] for t in s] for s in ties]
     packed: dict = {}
 
     def pack(t) -> np.ndarray:
@@ -148,13 +150,12 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
         if k + 1 == size:
             return _bits(cand)
         base = allowed[k + 1] & free
-        links = [t for j, t in constraints[k + 1] if j == k]
         for j, t in constraints[k + 1]:
             if j < k:
                 base &= rows[t][order[j]]
-        if links and cand.bit_count() > _BATCH_CANDIDATES:
+        if ties[k] and cand.bit_count() > _BATCH_CANDIDATES:
             # the same scores for all candidates at once, on packed rows
-            first, *rest = (pack(t) for t in links)
+            first, *rest = (pack(t) for t in ties[k])
             width = first.shape[1] * 8
             cs = np.flatnonzero(np.unpackbits(
                 np.frombuffer(cand.to_bytes(width, "little"), dtype=np.uint8),
@@ -167,11 +168,10 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
             counts = np.bitwise_count(onward).sum(axis=1)
             cs, counts = cs[counts > 0], counts[counts > 0]
             return cs[np.lexsort((cs, counts))].tolist()
-        tables = [rows[t] for t in links]
         scored = []
         for c in _bits(cand):
             onward = base & ~(1 << c)
-            for table in tables:
+            for table in tie_rows[k]:
                 onward &= table[c]
             if onward:
                 scored.append((onward.bit_count(), c))
