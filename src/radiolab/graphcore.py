@@ -201,15 +201,14 @@ def _bfs_distances(g: Graph) -> np.ndarray:
             balls[neighbours], starts, axis=0
         )
         new = grown & ~balls
-        nonzero = np.count_nonzero(new)
-        if nonzero == 0:
+        rows, words = np.nonzero(new)
+        if rows.size == 0:
             return dist
         balls = grown
-        if nonzero * _DENSE_LEVEL >= new.size:
+        if rows.size * _DENSE_LEVEL >= new.size:
             mask = np.unpackbits(new.view(np.uint8), axis=1, count=n, bitorder="little")
             dist[mask.view(bool)] = level
             continue
-        rows, words = np.nonzero(new)
         bits = new[rows, words]
         first_column = words * 64
         while bits.size:

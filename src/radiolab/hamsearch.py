@@ -168,10 +168,11 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
             counts = np.bitwise_count(onward).sum(axis=1)
             cs, counts = cs[counts > 0], counts[counts > 0]
             return cs[np.lexsort((cs, counts))].tolist()
+        tables = tie_rows[k]
         scored = []
         for c in _bits(cand):
             onward = base & ~(1 << c)
-            for table in tie_rows[k]:
+            for table in tables:
                 onward &= table[c]
             if onward:
                 scored.append((onward.bit_count(), c))
