@@ -7,9 +7,14 @@ diam + 1 - d(x, y), so a branch dies as soon as its label plus the least
 such total along a path through the unplaced vertices cannot beat the
 incumbent.  Those least totals form a Held-Karp table over (vertex
 subset, end vertex), built only once a branch gets past the cheaper
-one-label-per-vertex bound.  The oracle is exact, so it doubles as the
-referee for the theorem-driven analyzer on everything small enough to
-enumerate.
+one-label-per-vertex bound.  A memo merges repeated search states: once
+the unplaced vertices and their smallest labels relative to the last one
+match a state already searched, the span that state reached bounds the
+new branch too.  It cuts only branches that cannot beat the incumbent,
+so the witness is the one the search finds without it; the node budget
+is charged once per search node, and a branch the memo cuts costs none.
+The oracle is exact, so it doubles as the referee for the theorem-driven
+analyzer on everything small enough to enumerate.
 """
 
 import radiolab as rl

@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Time the two large geometry cases that the dense bitset kernels target.
+"""Time the large geometry cases and the slowest exact-oracle cases.
 
 - ``w13``: ``generalized_quadrangle_incidence(13)`` (W(13), 4,760
   vertices), then ``label_quadrangle_cage`` on it;
 - ``pg49``: ``analyze(projective_plane_incidence(49))`` (4,902 vertices),
-  timed after the build.
+  timed after the build;
+- ``c13``: ``radio_number_exact(cycle(13), vertex_limit=13)``, one past
+  the oracle's default vertex limit;
+- ``tadpole66``: ``radio_number_exact(tadpole(6, 6))``.
+
+The oracle cases report rn next to the seconds and the search nodes, so a
+change of the oracle splits into fewer nodes and cheaper nodes.
 
 Each case runs in a fresh child process, so no distance matrix or table
 is shared between them.  The script prints one JSON line: per case the
 vertex count, the seconds of each step, the search nodes spent and a
 sha256 of the labeling's labels, which must not change from one version
-of the kernels to the next.  It imports the library from the ``src``
+of the library to the next.  It imports the library from the ``src``
 directory next to this script.  Run it from anywhere:
 
     python3 scripts/scale_check.py
@@ -27,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-CASES = ("w13", "pg49")
+CASES = ("w13", "pg49", "c13", "tadpole66")
 
 
 def labels_sha256(labels) -> str:
@@ -45,6 +51,12 @@ def run_case(case: str) -> dict:
         labeling = rl.label_quadrangle_cage(g, budget)
         t2 = time.perf_counter()
         steps = {"build_s": t1 - t0, "label_s": t2 - t1}
+    elif case in ("c13", "tadpole66"):
+        g = rl.cycle(13) if case == "c13" else rl.tadpole(6, 6)
+        t1 = time.perf_counter()
+        rn, labeling = rl.radio_number_exact(g, vertex_limit=g.n, deadline=budget)
+        t2 = time.perf_counter()
+        steps = {"build_s": t1 - t0, "oracle_s": t2 - t1, "rn": rn}
     else:
         g = rl.projective_plane_incidence(49)
         t1 = time.perf_counter()

@@ -411,6 +411,8 @@ def singer_label_erq_complement(q: int) -> RadioLabeling:
 ORACLE_VERTEX_LIMIT = 12
 PATH_TABLE_VERTEX_LIMIT = 20  # 2^20 * 20 int16 entries: 40 MiB
 _UNSET = np.iinfo(np.int16).max // 2  # above any path total, with room to add a need
+# search states the oracle's memo keeps; once full it only updates them
+_MEMO_ENTRIES = 1 << 16
 
 
 def _path_table(need: np.ndarray) -> np.ndarray:
@@ -449,7 +451,8 @@ def radio_number_exact(
     deadline: int | SearchBudget | None = None,
 ):
     """Exact rn(g) and an optimal witness, by branch and bound, or TIMEOUT
-    when the node budget runs out first (one node per search node).
+    when the node budget runs out first (one node per entry of the search,
+    the root included; a child cut by a bound or the memo costs none).
 
     Vertices are placed in increasing label order, in index order among
     siblings, and each takes the smallest label compatible with everything
@@ -463,9 +466,22 @@ def radio_number_exact(
     strictly smaller span replaces it, so the witness is the first optimum
     in search order whatever the bounds cut.
 
+    A memo merges repeated search states.  Below a child placed at f, the
+    search depends only on the unplaced set and the offsets lower(u) - f,
+    each in 1..diam; both are packed into one int key.  Once the child's
+    subtree is done, every completion of that state spans at least the
+    incumbent, so the memo keeps incumbent - f, and a later child with the
+    same key at f' is cut when f' plus that reaches the incumbent.  Such a
+    cut never passes over a strict improvement, so the incumbents and the
+    witness are those of the search without the memo.  The memo holds at
+    most ``_MEMO_ENTRIES`` states; once full it only updates the ones it
+    holds.
+
     The table is built at the first child that passes the cheap bound: a
     graph whose greedy incumbent is already |V| never pays for it, and one
-    too large for the table raises TooLarge there.
+    too large for the table raises TooLarge there.  Above the table's
+    limit only a graceful incumbent can be returned, so each greedy run
+    stops at its first label above its position.
     """
     n = g.n
     if n > vertex_limit:
@@ -477,11 +493,17 @@ def radio_number_exact(
         return 1, RadioLabeling((1,))
     budget = as_budget(deadline)
 
+    # a greedy run stopped early reports a span above n and a labeling
+    # that is never read: any incumbent but n ends in TooLarge
+    graceful_only = n > PATH_TABLE_VERTEX_LIMIT
+
     def greedy_fixed(seq: list[int]) -> tuple[int, list[int]]:
         labels = [0] * n
         bound = [1] * n
-        for v in seq:
+        for i, v in enumerate(seq, 1):
             f = bound[v]
+            if graceful_only and f > i:
+                return f + n - i, labels
             labels[v] = f
             for u in range(n):
                 if labels[u] == 0:
@@ -493,8 +515,10 @@ def radio_number_exact(
         labels = [0] * n
         bound = [1] * n
         v = start
-        for _ in range(n):
+        for i in range(1, n + 1):
             f = bound[v]
+            if graceful_only and f > i:
+                return f + n - i, labels
             labels[v] = f
             for u in range(n):
                 if labels[u] == 0:
@@ -513,12 +537,15 @@ def radio_number_exact(
 
     placed: list[int] = []
     fvals: list[int] = []
-    lower = [1] * n  # smallest label each unplaced vertex could still take
-    table = None
+    tab = None  # the flat path table, tab[rest * n + v]
+    # offset field of vertex u in a memo key, above the n bits of `left`
+    shift = [n + u * diam.bit_length() for u in range(n)]
+    memo: dict[int, int] = {}
 
-    def dfs(last_label: int, rest: int):
-        # rest: bitmask of the vertices still to place
-        nonlocal best_span, best_labels, table
+    def dfs(last_label: int, rest: int, lower: list[int]):
+        # rest: bitmask of the vertices still to place; lower[u]: the
+        # smallest label unplaced u could still take
+        nonlocal best_span, best_labels, tab
         if not budget.charge():
             raise BudgetExhausted
         if not rest:
@@ -530,34 +557,43 @@ def radio_number_exact(
                 best_labels = labels
             return
         steps = n - len(placed) - 1  # consecutive pairs still to come after v
-        for v in range(n):
-            if not rest >> v & 1:
-                continue
+        r = rest
+        while r:
+            bit = r & -r
+            r ^= bit
+            v = bit.bit_length() - 1
             f = lower[v]
             if f + steps >= best_span:
                 continue
-            if table is None:
-                table = _path_table(need_np)
-            if f + int(table[rest, v]) >= best_span:
+            if tab is None:
+                tab = memoryview(_path_table(need_np).ravel())
+            if f + tab[rest * n + v] >= best_span:
+                continue
+            left = rest ^ bit
+            child = lower[:]
+            row = need[v]
+            key = todo = left
+            while todo:
+                b = todo & -todo
+                todo ^= b
+                u = b.bit_length() - 1
+                nb = f + row[u]
+                if nb > child[u]:
+                    child[u] = nb
+                key |= (child[u] - f) << shift[u]
+            seen = memo.get(key)
+            if seen is not None and f + seen >= best_span:
                 continue
             placed.append(v)
             fvals.append(f)
-            left = rest ^ (1 << v)
-            saved = []
-            for u in range(n):
-                if left >> u & 1:
-                    nb = f + need[v][u]
-                    if nb > lower[u]:
-                        saved.append((u, lower[u]))
-                        lower[u] = nb
-            dfs(f, left)
-            for u, old in saved:
-                lower[u] = old
+            dfs(f, left, child)
             placed.pop()
             fvals.pop()
+            if seen is not None or len(memo) < _MEMO_ENTRIES:
+                memo[key] = best_span - f
 
     try:
-        dfs(0, (1 << n) - 1)
+        dfs(0, (1 << n) - 1, [1] * n)
     except BudgetExhausted:
         return TIMEOUT
     return best_span, RadioLabeling(tuple(best_labels))

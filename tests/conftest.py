@@ -157,3 +157,31 @@ def brute_radio_number(g):
     while not exists_with_span(s):
         s += 1
     return s
+
+
+def brute_radio_number_by_orderings(g):
+    """Smallest span over every vertex ordering of the greedy labeling that
+    gives each vertex, in order, the least label every earlier vertex
+    allows.  An optimal labeling read in label order is one such ordering,
+    and greedy labels never exceed it, so the minimum is rn.  Enumerates
+    all n! orderings with no pruning; sane for n <= 8."""
+    n = g.n
+    dist = floyd_warshall(g)
+    diam = max(max(row) for row in dist)
+    assert diam != float("inf")
+    best = float("inf")
+
+    def extend(order, labels):
+        nonlocal best
+        if len(order) == n:
+            best = min(best, labels[-1])
+            return
+        for v in range(n):
+            if v in order:
+                continue
+            f = max([1] + [fu + diam + 1 - dist[u][v]
+                           for u, fu in zip(order, labels)])
+            extend(order + [v], labels + [f])
+
+    extend([], [])
+    return best

@@ -11,6 +11,10 @@ corpus:
 - C12, P11, P12 and tadpole(6,6), the slowest graphs at the vertex limit;
 - a seeded random corpus of connected graphs on 2..10 vertices.
 
+The fixed graphs are also run with the oracle's memo of search states
+switched off (no entries): the memo may only save nodes, never change a
+witness.
+
 The expected data lives in ``data/oracle_golden.json``.  After an intended
 change of witnesses, regenerate it with
 
@@ -98,6 +102,22 @@ def test_golden_covers_keys(golden):
 @pytest.mark.parametrize("key", KEYS)
 def test_oracle_golden(golden, key):
     assert record(key) == golden[key]
+
+
+@pytest.mark.parametrize("key", list(FIXED))
+def test_oracle_golden_without_memo(golden, key, monkeypatch):
+    monkeypatch.setattr(rl.radio, "_MEMO_ENTRIES", 0)
+    assert record(key) == golden[key]
+
+
+def test_memo_saves_nodes_on_cycle_11(monkeypatch):
+    spent = []
+    for entries in (rl.radio._MEMO_ENTRIES, 0):
+        monkeypatch.setattr(rl.radio, "_MEMO_ENTRIES", entries)
+        budget = rl.SearchBudget()
+        rl.radio_number_exact(rl.cycle(11), deadline=budget)
+        spent.append(budget.spent)
+    assert spent[0] < spent[1]
 
 
 if __name__ == "__main__":

@@ -39,7 +39,11 @@ from radiolab import (
 )
 from radiolab.radio import _path_table
 
-from conftest import brute_radio_number, random_connected_graph
+from conftest import (
+    brute_radio_number,
+    brute_radio_number_by_orderings,
+    random_connected_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +413,69 @@ def test_radio_number_c6_against_bruteforce():
     assert radio_number_exact(rl.cycle(6))[0] == brute_radio_number(rl.cycle(6)) == 8
 
 
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _tree(n, rng):
+    return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def _unicyclic(n, rng):
+    edges = set(_tree(n, rng).edges())
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n)
+              if (u, v) not in edges]
+    return Graph(n, sorted(edges) + [rng.choice(chords)])
+
+
+def _tadpole(n, rng):
+    cycle = rng.randint(3, n - 1)
+    return rl.tadpole(cycle, n - cycle)
+
+
+def _spider(n, rng):
+    edges, v, left = [], 1, n - 1
+    while left:
+        leg = rng.randint(1, min(left, 3))
+        left -= leg
+        prev = 0
+        for _ in range(leg):
+            edges.append((prev, v))
+            prev, v = v, v + 1
+    return Graph(n, edges)
+
+
+def _oracle_run(g, memo_entries, monkeypatch):
+    monkeypatch.setattr(rl.radio, "_MEMO_ENTRIES", memo_entries)
+    budget = SearchBudget()
+    rn, witness = radio_number_exact(g, deadline=budget)
+    return rn, witness, budget.spent
+
+
+@pytest.mark.parametrize("family", [_tree, _unicyclic, _tadpole, _spider],
+                         ids=["tree", "unicyclic", "tadpole", "spider"])
+def test_radio_number_memo_against_ordering_bruteforce(family, monkeypatch):
+    # seeded sparse graphs on 7-8 vertices, relabelled; only those where
+    # the memo saves nodes count, so every compared search uses it
+    entries, checked = rl.radio._MEMO_ENTRIES, 0
+    for i in range(60):
+        rng = random.Random(f"{family.__name__}-{i}")
+        g = _relabelled(family(rng.choice((7, 8)), rng), rng)
+        rn, witness, nodes = _oracle_run(g, entries, monkeypatch)
+        plain = _oracle_run(g, 0, monkeypatch)
+        assert (rn, witness) == plain[:2] and nodes <= plain[2]
+        if nodes == plain[2]:
+            continue
+        assert rn == brute_radio_number_by_orderings(g)
+        assert not verify(g, witness) and witness.span == rn
+        checked += 1
+        if checked == 3:
+            return
+    pytest.fail(f"the memo saved nodes on {checked} of 60 graphs")
+
+
 def test_radio_number_path_table_too_large():
     # the path-bound table is refused before it is allocated
     with pytest.raises(TooLarge, match="path-bound table"):
@@ -417,11 +484,20 @@ def test_radio_number_path_table_too_large():
     assert radio_number_exact(rl.complete(25), vertex_limit=25)[0] == 25
 
 
+def test_radio_number_above_the_table_limit_stops_greedy_early():
+    # only a graceful incumbent can be returned above the table's limit, so
+    # each greedy run stops at its first label above its position
+    with pytest.raises(TooLarge, match="path-bound table"):
+        radio_number_exact(rl.path(200), vertex_limit=200)
+    rn, witness = radio_number_exact(rl.complete(25), vertex_limit=25)
+    assert rn == 25 and witness.labels == tuple(range(1, 26))
+
+
 def test_radio_number_honours_the_budget():
     assert radio_number_exact(rl.cycle(12), deadline=1) is TIMEOUT
     budget = SearchBudget(10**6)
     rn, _ = radio_number_exact(rl.cycle(12), deadline=budget)
-    assert rn == 27 and 0 < budget.spent < 10**5
+    assert rn == 27 and 0 < budget.spent < 40_000
     # complete graphs stop at the root: the greedy incumbent is optimal
     budget = SearchBudget(1)
     assert radio_number_exact(rl.complete(6), deadline=budget)[0] == 6
