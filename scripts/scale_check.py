@@ -7,17 +7,23 @@
   timed after the build;
 - ``c13``: ``radio_number_exact(cycle(13), vertex_limit=13)``, one past
   the oracle's default vertex limit;
-- ``tadpole66``: ``radio_number_exact(tadpole(6, 6))``.
+- ``tadpole66``: ``radio_number_exact(tadpole(6, 6))``;
+- ``p600``, ``c1201`` and ``lollipop``: ``all_pairs_distances`` of
+  ``path(600)``, ``cycle(1201)`` and K_300 with a 600-vertex path hung
+  from one of its vertices, high-diameter graphs whose breadth-first
+  levels are mostly small (the lollipop's first ones are not).
 
 The oracle cases report rn next to the seconds and the search nodes, so a
 change of the oracle splits into fewer nodes and cheaper nodes.
 
 Each case runs in a fresh child process, so no distance matrix or table
-is shared between them.  The script prints one JSON line: per case the
-vertex count, the seconds of each step, the search nodes spent and a
-sha256 of the labeling's labels, which must not change from one version
-of the library to the next.  It imports the library from the ``src``
-directory next to this script.  Run it from anywhere:
+is shared between them, and reports the child's peak resident set
+(``peak_rss_mb``, from ``ru_maxrss``).  The script prints one JSON line:
+per case the vertex count, the seconds of each step, the search nodes
+spent and a sha256 of the labeling's labels (of the matrix's bytes for
+the distance cases), which must not change from one version of the
+library to the next.  It imports the library from the ``src`` directory
+next to this script.  Run it from anywhere:
 
     python3 scripts/scale_check.py
 """
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -33,16 +40,33 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-CASES = ("w13", "pg49", "c13", "tadpole66")
+CASES = ("w13", "pg49", "c13", "tadpole66", "p600", "c1201", "lollipop")
+DISTANCE_CASES = {
+    "p600": lambda rl: rl.path(600),
+    "c1201": lambda rl: rl.cycle(1201),
+    "lollipop": lambda rl: rl.Graph(900, [(u, v) for u in range(300) for v in range(u + 1, 300)]
+                                    + [(v, v + 1) for v in range(299, 899)]),
+}
 
 
 def labels_sha256(labels) -> str:
     return hashlib.sha256(json.dumps(list(labels)).encode("ascii")).hexdigest()
 
 
+def peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def run_case(case: str) -> dict:
     import radiolab as rl
 
+    if case in DISTANCE_CASES:
+        g = DISTANCE_CASES[case](rl)
+        t0 = time.perf_counter()
+        dist = rl.all_pairs_distances(g)
+        t1 = time.perf_counter()
+        return {"n": g.n, "distances_s": round(t1 - t0, 3), "peak_rss_mb": peak_rss_mb(),
+                "matrix_sha256": hashlib.sha256(dist.tobytes()).hexdigest()}
     budget = rl.SearchBudget()
     t0 = time.perf_counter()
     if case == "w13":
@@ -68,7 +92,7 @@ def run_case(case: str) -> dict:
     return {"n": g.n, **{k: round(v, 3) if isinstance(v, float) else v
                          for k, v in steps.items()},
             "total_s": round(t2 - t0, 3), "nodes": budget.spent,
-            "labels_sha256": labels_sha256(labeling.labels)}
+            "peak_rss_mb": peak_rss_mb(), "labels_sha256": labels_sha256(labeling.labels)}
 
 
 def main() -> int:

@@ -45,9 +45,11 @@ class Graph:
     The adjacency is one bitset row per vertex, read as is by every
     search: ``_rows[v]`` is a Python int whose bit w is set when w is a
     neighbour of v.  Rows take up to n²/8 bytes, 1/32 of the int32
-    distance matrix every analysis builds, so they never set its peak;
-    but a sparse graph of more than about 10^5 vertices costs more to
-    build than as neighbour sets, a row being as long as its highest
+    distance matrix every analysis builds; the search that builds it also
+    holds an n x n byte mask, bitsets the size of the rows and a gather
+    of at most 8 MB, so the rows are a small share of the peak.  But a
+    sparse graph of more than about 10^5 vertices costs more to build
+    than as neighbour sets, a row being as long as its highest
     neighbour's index.
     """
 
@@ -131,16 +133,18 @@ class Graph:
 # metrics
 
 
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees and the concatenated neighbour lists, each list ascending:
-    the set bits of the nonzero bytes of the rows, in row-major order."""
-    width = (g.n + 7) // 8
+def _csr(rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes and the concatenation of the lists of set bits of bitset
+    rows over ``len(rows)`` vertices, each list ascending: the set bits of
+    the nonzero bytes of the rows, in row-major order."""
+    n = len(rows)
+    width = (n + 7) // 8
     packed = np.frombuffer(
-        b"".join(row.to_bytes(width, "little") for row in g._rows), dtype=np.uint8
-    ).reshape(g.n, width)
+        b"".join(row.to_bytes(width, "little") for row in rows), dtype=np.uint8
+    ).reshape(n, width)
     owner, byte = np.nonzero(packed)
     entry, bit = np.nonzero(np.unpackbits(packed[owner, byte, None], axis=1, bitorder="little"))
-    return np.bincount(owner[entry], minlength=g.n), byte[entry] * 8 + bit
+    return np.bincount(owner[entry], minlength=n), byte[entry] * 8 + bit
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -156,69 +160,128 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     return g._distances
 
 
-# a BFS level with at least 1/_DENSE_LEVEL of its words nonzero is written
-# by one unpack of the whole level (8 slows paths, whose levels have about
-# 2 nonzero words of 10 per row; 2, 4 and 8 time alike on PG(2,q) and W(q))
-_DENSE_LEVEL = 4
+# a level whose top-down step would gather more entries than this share of
+# the words one bitset step gathers takes the bitset step.  Paths need more
+# than 128/n to stay top-down (0.21 at n = 600), and the second level of
+# W(8), at 0.49, is faster by bitset; 0.3 to 0.35 is best on both sides.
+_TOP_DOWN_SHARE = 0.35
+
+# words of balls that one block of a bitset step gathers at most
+_BITSET_BLOCK_WORDS = 1 << 20
 
 
 def _bfs_distances(g: Graph) -> np.ndarray:
     """The distance matrix of ``g``, computed afresh.
 
     The breadth-first searches from all sources advance together, one
-    level per step.  Row s of ``balls`` is the ball of radius k around s,
-    bit-packed into uint64 words (vertex v is bit v % 64 of word v // 64).
-    As the graph is undirected, the ball of radius k+1 around s is the
-    union of the radius-k balls of s and of its neighbours: one
-    ``bitwise_or.reduceat`` over the CSR neighbour lists.  Isolated
-    vertices are left out of it, because ``reduceat`` returns the element
-    at the start of an empty segment instead of nothing.  The bits new at
-    level k are written as distance k.  When at least a quarter of the
-    words of a level are nonzero, the level is unpacked whole into an n x n
-    mask (little-endian words, so the ``uint8`` view puts vertex v at bit v
-    of its row), one write; otherwise its set bits are walked, lowest
-    first, by ``w & -w``.  Always unpacking would cost an n x n pass per
-    level, which a graph of diameter 600 cannot afford.
+    level per step, over closed neighbourhoods: the list of v holds v
+    and its neighbours, so no list is empty (``reduceat`` would return
+    the element at the start of an empty segment instead of nothing).
+    Each level takes one of two steps:
+
+    - top-down: the frontier is the list of flat indices ``s*n + v`` of
+      the pairs at the last distance k, and each pair (s, w) with w in
+      the list of v is a candidate, kept while UNREACHABLE.  Duplicates
+      are removed in place, with no n x n scratch and no sort: the
+      candidates write distinct tags below UNREACHABLE into ``dist``,
+      and those that read their own tag back are kept, one per pair;
+    - bitset: row s of ``balls`` is the ball of radius k around s,
+      bit-packed into uint64 words (vertex v is bit v % 64 of word
+      v // 64), and the ball of radius k+1 is the OR of the balls in the
+      list of s, one ``bitwise_or.reduceat`` per block of rows whose
+      lists gather at most 2**20 words (or one list).  The new bits are
+      unpacked whole into an n x n mask (little-endian words, so the
+      ``uint8`` view puts vertex v at bit v of its row) and written in
+      one go.
+
+    A top-down step gathers the list sizes of its frontier's columns, a
+    bitset step (2m+n) * ceil(n/64) words.  A level whose top-down step
+    would gather more than ``_TOP_DOWN_SHARE`` of the bitset step's words
+    takes the bitset step: ``balls`` is packed from ``dist >= 0`` when
+    it follows a top-down level, and the frontier is read back from the
+    mask by ``np.flatnonzero`` when a top-down level follows it.  Paths
+    and cycles, with two pairs per row and level, stay top-down; on
+    dense graphs every level after the first few takes the bitset step.
     """
     n = g.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    degree, neighbours = _csr(g)
-    has_neighbours = degree > 0
-    if not has_neighbours.any():
-        return dist
-    starts = (np.cumsum(degree) - degree)[has_neighbours]
-    vertices = np.arange(n)
-    balls = np.zeros((n, (n + 63) // 64), dtype="<u8")  # little-endian for the uint8 view
-    balls[vertices, vertices >> 6] = np.left_shift(
-        np.uint64(1), (vertices & 63).astype(np.uint64)
-    )
-    level = 0
-    while True:
+    size, closed = _csr([row | 1 << v for v, row in enumerate(g._rows)])
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(size, out=bounds[1:])
+    limit = _TOP_DOWN_SHARE * len(closed) * ((n + 63) // 64)
+    v = np.arange(n)
+    frontier, count = v * (n + 1), size
+    dist.reshape(-1)[frontier] = 0
+    work, balls, level = len(closed), None, 0
+    while work:
         level += 1
-        grown = balls.copy()
-        grown[has_neighbours] |= np.bitwise_or.reduceat(
-            balls[neighbours], starts, axis=0
-        )
-        new = grown & ~balls
-        rows, words = np.nonzero(new)
-        if rows.size == 0:
-            return dist
-        balls = grown
-        if rows.size * _DENSE_LEVEL >= new.size:
-            mask = np.unpackbits(new.view(np.uint8), axis=1, count=n, bitorder="little")
-            dist[mask.view(bool)] = level
+        if work <= limit:
+            if balls is not None:
+                frontier, balls = np.flatnonzero(mask), None
+                v = frontier % n
+                count = size[v]
+            frontier, v = _top_down_level(dist, frontier, v, count, bounds, closed, level)
+            count = size[v]
+            work = count.sum()
             continue
-        bits = new[rows, words]
-        first_column = words * 64
-        while bits.size:
-            lowest = bits & -bits
-            # a power of two is exact in float64, so frexp gives its index
-            columns = first_column + np.frexp(lowest.astype(np.float64))[1] - 1
-            dist[rows, columns] = level
-            bits ^= lowest
-            left = bits != 0
-            rows, first_column, bits = rows[left], first_column[left], bits[left]
+        if balls is None:
+            balls = _pack(dist >= 0)
+            blocks = _gather_blocks(closed, bounds, balls.shape[1])
+        grown = _bitset_level(balls, blocks)
+        new = np.bitwise_xor(grown, balls, out=balls)
+        balls = grown
+        # the pairs at one distance are symmetric: row counts are column counts
+        work = np.bitwise_count(new).sum(axis=1, dtype=np.intp) @ size
+        if work:
+            mask = np.unpackbits(new.view(np.uint8), axis=1, count=n, bitorder="little")
+            np.copyto(dist, level, where=mask.view(bool))
+    return dist
+
+
+def _top_down_level(dist, frontier, v, count, bounds, closed, level):
+    """Write ``level`` at the UNREACHABLE pairs (s, w) with w in the list
+    of v for a pair (s, v) of ``frontier`` (flat indices ``s*n + v``;
+    ``count`` the sizes of the lists), and return their flat indices and
+    their columns."""
+    flat = dist.reshape(-1)
+    ends = np.cumsum(count)
+    entry = np.repeat(bounds[1:][v] - ends, count) + np.arange(ends[-1])
+    candidates = np.repeat(frontier - v, count) + closed[entry]
+    candidates = candidates[flat[candidates] == UNREACHABLE]
+    tags = np.arange(-2, -2 - len(candidates), -1, dtype=np.int32)
+    flat[candidates] = tags
+    candidates = candidates[flat[candidates] == tags]
+    flat[candidates] = level
+    return candidates, candidates % len(dist)
+
+
+def _pack(member: np.ndarray) -> np.ndarray:
+    """The rows of a boolean n x n matrix as little-endian uint64 words."""
+    n = len(member)
+    packed = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
+    packed[:, :(n + 7) // 8] = np.packbits(member, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _gather_blocks(closed, bounds, words):
+    """The blocks of rows of one bitset step, each as the entries of its
+    lists, the offsets of the lists in them and its slice of rows: runs
+    of ``max(1, 2**20 // (s * words))`` rows, s the longest list, so that
+    a block gathers at most 2**20 words or one list."""
+    n = len(bounds) - 1
+    rows = max(1, _BITSET_BLOCK_WORDS // (int(np.diff(bounds).max()) * words))
+    cuts = [*range(0, n, rows), n]
+    return [(closed[bounds[first]:bounds[last]], bounds[first:last] - bounds[first],
+             slice(first, last)) for first, last in zip(cuts, cuts[1:])]
+
+
+def _bitset_level(balls, blocks):
+    """The balls one level wider: row s is the OR of the rows of ``balls``
+    in the list of s, gathered block by block."""
+    grown = np.empty_like(balls)
+    for entries, offsets, rows in blocks:
+        np.bitwise_or.reduceat(balls[entries], offsets, axis=0, out=grown[rows])
+    return grown
 
 
 def diameter(g: Graph) -> int:
@@ -257,7 +320,7 @@ def girth(g: Graph) -> Optional[int]:
         return None
     dist = all_pairs_distances(g)
     parts = bipartition(g)
-    degree, neighbours = _csr(g)
+    degree, neighbours = _csr(g._rows)
     owner = np.repeat(np.arange(g.n), degree)
     active = np.flatnonzero(degree)  # reduceat needs non-empty segments
     starts = (np.cumsum(degree) - degree)[active]

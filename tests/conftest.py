@@ -1,11 +1,12 @@
 """Shared corpora and independent oracles for the test suite.
 
 The oracles here are deliberately naive (permutation enumeration,
-Floyd-Warshall, label-vector search) and never share code with the
-implementations they check.
+Floyd-Warshall, breadth-first search from each source, label-vector
+search) and never share code with the implementations they check.
 """
 
 import itertools
+from collections import deque
 
 import pytest
 
@@ -97,6 +98,29 @@ def floyd_warshall(g):
                 if alt < di[j]:
                     di[j] = alt
     return d
+
+
+def bfs_distances(n, edges):
+    """All-pairs distances of the graph on 0..n-1 with the given edges, by
+    one queue-driven breadth-first search per source over adjacency lists
+    built here; -1 marks pairs in different components."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    out = []
+    for s in range(n):
+        row = [-1] * n
+        row[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if row[w] == -1:
+                    row[w] = row[u] + 1
+                    queue.append(w)
+        out.append(row)
+    return out
 
 
 def brute_has_ham_path(g):

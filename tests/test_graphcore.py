@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -21,7 +22,13 @@ from radiolab import (
     regularity,
 )
 
-from conftest import atlas_connected, floyd_warshall, random_connected_graph, random_graph
+from conftest import (
+    atlas_connected,
+    bfs_distances,
+    floyd_warshall,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def test_graph_rejects_bad_edges():
@@ -86,21 +93,22 @@ def _with_isolated_vertices():
 
 
 def _dense_graph(n):
-    # G(n, 1/2): every BFS level is written by one unpack of its words
+    # G(n, 1/2): every BFS level after the first takes the bitset step
     return random_graph(n, 0.5, random.Random(f"dense-{n}"))
 
 
 def _lollipop():
-    # K_40 on 0..39 with a 100-vertex tail from vertex 39: the first levels
-    # grow nearly every row and take the dense branch, the last ones grow
-    # only the rows of far-apart vertices and take the sparse one
+    # K_40 on 0..39 with a 100-vertex tail from vertex 39: the second level
+    # reaches nearly the whole clique from every row and takes the bitset
+    # step, the last ones grow only the rows of far-apart vertices and hand
+    # their frontier back to the top-down step
     clique = [(u, v) for u in range(40) for v in range(u + 1, 40)]
     return Graph(140, clique + [(v, v + 1) for v in range(39, 139)])
 
 
-# rows of the distance kernel are bit-packed into 64-vertex words: the
-# inputs below cross word boundaries, reach diameters above 64, and write
-# their levels by both branches of the kernel (dense and sparse levels)
+# rows of the bitset step are packed into 64-vertex words: the inputs below
+# cross word boundaries, reach diameters above 64, and take both steps of
+# the kernel (small levels top-down, large ones by bitset)
 DISTANCE_INPUTS = (
     [pytest.param(lambda s=s: _seeded_graph(s), id=str(s)) for s in range(12)]
     + [
@@ -120,19 +128,93 @@ DISTANCE_INPUTS = (
     ]
 )
 
+# a share of 0 sends every level to the bitset step, an infinite one every
+# level to the top-down step
+FORCED_SHARES = (0.0, math.inf)
+
+
+def _assert_distances(g, want, monkeypatch):
+    """The kept matrix of g, and the matrices computed with every level
+    forced to one step, all equal ``want``."""
+    ours = all_pairs_distances(g)
+    assert ours.dtype == np.int32 and ours.shape == (g.n, g.n)
+    assert np.array_equal(ours, want)
+    for share in FORCED_SHARES:
+        monkeypatch.setattr(rl.graphcore, "_TOP_DOWN_SHARE", share)
+        forced = rl.graphcore._bfs_distances(g)
+        assert forced.dtype == np.int32 and np.array_equal(forced, want), share
+
 
 @pytest.mark.parametrize("make_graph", DISTANCE_INPUTS)
-def test_distances_match_floyd_warshall(make_graph):
+def test_distances_match_floyd_warshall(make_graph, monkeypatch):
     g = make_graph()
-    n = g.n
-    ours = all_pairs_distances(g)
-    assert ours.dtype == np.int32 and ours.shape == (n, n)
-    ref = floyd_warshall(g)
-    for i in range(n):
-        for j in range(n):
-            want = ref[i][j]
-            got = int(ours[i, j])
-            assert got == (UNREACHABLE if want == float("inf") else want)
+    want = np.array([[UNREACHABLE if d == float("inf") else d for d in row]
+                     for row in floyd_warshall(g)], dtype=np.int32).reshape(g.n, g.n)
+    _assert_distances(g, want, monkeypatch)
+    # every level by bitset, one row per gathered block
+    monkeypatch.setattr(rl.graphcore, "_BITSET_BLOCK_WORDS", 1)
+    monkeypatch.setattr(rl.graphcore, "_TOP_DOWN_SHARE", 0.0)
+    assert np.array_equal(rl.graphcore._bfs_distances(g), want)
+
+
+def _clique_with_tail(k, tail):
+    return ([(u, v) for u in range(k) for v in range(u + 1, k)]
+            + [(v, v + 1) for v in range(k - 1, k + tail - 1)])
+
+
+def _sparse_with_isolated_vertices():
+    # 600 vertices, about 1.5 neighbours each, every seventh vertex isolated
+    rng = random.Random(600)
+    edges = {tuple(sorted(rng.sample(range(600), 2))) for _ in range(450)}
+    return [(u, v) for u, v in sorted(edges) if u % 7 and v % 7]
+
+
+# graphs too large for Floyd-Warshall: long paths of levels, one vertex of
+# degree 300, a dense block before a long tail, many small components
+LARGE_DISTANCE_INPUTS = (
+    pytest.param(600, [(v, v + 1) for v in range(599)], id="path600"),
+    pytest.param(601, [(v, (v + 1) % 601) for v in range(601)], id="cycle601"),
+    pytest.param(301, [(0, v) for v in range(1, 301)], id="star300"),
+    pytest.param(360, _clique_with_tail(60, 300), id="k60-tail300"),
+    pytest.param(600, _sparse_with_isolated_vertices(), id="sparse600"),
+)
+
+
+@pytest.mark.parametrize("n, edges", LARGE_DISTANCE_INPUTS)
+def test_distances_match_breadth_first_reference(n, edges, monkeypatch):
+    want = np.array(bfs_distances(n, edges), dtype=np.int32).reshape(n, n)
+    _assert_distances(Graph(n, edges), want, monkeypatch)
+
+
+def _steps_taken(g, monkeypatch):
+    """The steps, in order, that computing the distances of g takes; each
+    top-down step must return its frontier without repeats."""
+    steps = []
+    for name, step in (("_top_down_level", "top-down"), ("_bitset_level", "bitset")):
+        kernel = getattr(rl.graphcore, name)
+
+        def spy(*args, kernel=kernel, step=step):
+            steps.append(step)
+            out = kernel(*args)
+            if step == "top-down":
+                assert len(np.unique(out[0])) == len(out[0])
+            return out
+
+        monkeypatch.setattr(rl.graphcore, name, spy)
+    rl.graphcore._bfs_distances(g)
+    return steps
+
+
+def test_each_level_takes_the_step_its_frontier_calls_for(monkeypatch):
+    # a path's levels hold two pairs per row: all top-down, one per level
+    assert _steps_taken(rl.path(600), monkeypatch) == ["top-down"] * 600
+    # an even cycle reaches each antipodal pair from both sides at once
+    assert _steps_taken(rl.cycle(600), monkeypatch) == ["top-down"] * 301
+    # the plane's first level already reaches 2m+n pairs
+    assert "bitset" in _steps_taken(rl.projective_plane_incidence(7), monkeypatch)
+    # the lollipop turns dense at the clique and sparse again along the tail
+    steps = _steps_taken(_lollipop(), monkeypatch)
+    assert "top-down" in steps[steps.index("bitset"):]
 
 
 def test_diameter_girth_examples():
@@ -432,7 +514,7 @@ def test_graph_layer_matches_networkx_on_shuffled_duplicated_edges():
         assert list(g.edges()) == _sorted_edges(h)
         assert g.num_edges == h.number_of_edges()
         assert g.degrees() == [h.degree(v) for v in range(n)]
-        degree, neighbours = rl.graphcore._csr(g)
+        degree, neighbours = rl.graphcore._csr(g._rows)
         assert degree.tolist() == g.degrees()
         assert neighbours.tolist() == [v for u in range(n) for v in sorted(h[u])]
         for u in range(n):
