@@ -188,9 +188,10 @@ def _bfs_distances(g: Graph) -> np.ndarray:
     - bitset: row s of ``balls`` is the ball of radius k around s,
       bit-packed into uint64 words (vertex v is bit v % 64 of word
       v // 64), and the ball of radius k+1 is the OR of the balls in the
-      list of s, one ``bitwise_or.reduceat`` per block of rows whose
-      lists gather at most 2**20 words (or one list).  The new bits are
-      unpacked whole into an n x n mask (little-endian words, so the
+      list of s: one ``bitwise_or.reduceat`` per block of
+      ``max(1, 2**20 // (s * ceil(n/64)))`` rows, s the longest list, so
+      that a block gathers at most 2**20 words or one list.  The new bits
+      are unpacked whole into an n x n mask (little-endian words, so the
       ``uint8`` view puts vertex v at bit v of its row) and written in
       one go.
 
@@ -226,8 +227,8 @@ def _bfs_distances(g: Graph) -> np.ndarray:
             continue
         if balls is None:
             balls = _pack(dist >= 0)
-            blocks = _gather_blocks(closed, bounds, balls.shape[1])
-        grown = _bitset_level(balls, blocks)
+            rows = max(1, _BITSET_BLOCK_WORDS // (int(size.max()) * balls.shape[1]))
+        grown = _bitset_level(balls, closed, bounds, rows)
         new = np.bitwise_xor(grown, balls, out=balls)
         balls = grown
         # the pairs at one distance are symmetric: row counts are column counts
@@ -263,24 +264,17 @@ def _pack(member: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
-def _gather_blocks(closed, bounds, words):
-    """The blocks of rows of one bitset step, each as the entries of its
-    lists, the offsets of the lists in them and its slice of rows: runs
-    of ``max(1, 2**20 // (s * words))`` rows, s the longest list, so that
-    a block gathers at most 2**20 words or one list."""
-    n = len(bounds) - 1
-    rows = max(1, _BITSET_BLOCK_WORDS // (int(np.diff(bounds).max()) * words))
-    cuts = [*range(0, n, rows), n]
-    return [(closed[bounds[first]:bounds[last]], bounds[first:last] - bounds[first],
-             slice(first, last)) for first, last in zip(cuts, cuts[1:])]
-
-
-def _bitset_level(balls, blocks):
+def _bitset_level(balls, closed, bounds, rows):
     """The balls one level wider: row s is the OR of the rows of ``balls``
-    in the list of s, gathered block by block."""
+    in the list of s (``closed[bounds[s]:bounds[s + 1]]``), gathered for
+    ``rows`` rows at a time."""
+    n = len(balls)
     grown = np.empty_like(balls)
-    for entries, offsets, rows in blocks:
-        np.bitwise_or.reduceat(balls[entries], offsets, axis=0, out=grown[rows])
+    for first in range(0, n, rows):
+        last = min(first + rows, n)
+        np.bitwise_or.reduceat(balls[closed[bounds[first]:bounds[last]]],
+                               bounds[first:last] - bounds[first], axis=0,
+                               out=grown[first:last])
     return grown
 
 
