@@ -3,8 +3,10 @@
 Labelings and stored benchmark sequences refer to vertices by index, so a
 change to the field arithmetic or to a constructor must not renumber any
 graph.  For each constructor and order this stores a sha256 of the
-graph's edge list, and for each small field its reducing polynomial,
-primitive element and canonical Singer difference set.
+graph's edge list, for each small field its reducing polynomial,
+primitive element and canonical Singer difference set, and for each
+small order a sha256 of the labels of the Singer recurrence labelings
+of the Singer graph and of its complement.
 
 The expected data lives in ``data/families_golden.json``.  After an
 intended change of numbering, regenerate it with
@@ -35,8 +37,15 @@ BUILDERS = {  # family -> (constructor, orders)
     "mms": (rl.mms_graph, [5, 9, 13]),
 }
 
+LABELERS = {
+    "singer-label": rl.singer_label_erq,
+    "singer-complement-label": rl.singer_label_erq_complement,
+}
+
 GRAPH_KEYS = [f"{name}-{q}" for name, (_, orders) in BUILDERS.items() for q in orders]
 FIELD_KEYS = [f"field-{q}" for q in PRIME_POWERS_16]
+LABEL_KEYS = [f"{name}-{q}" for name in LABELERS for q in PRIME_POWERS_16]
+KEYS = GRAPH_KEYS + FIELD_KEYS + LABEL_KEYS
 
 
 def record(key: str):
@@ -50,6 +59,9 @@ def record(key: str):
             "primitive": rl.primitive_element(f),
             "singer": list(rl.singer_difference_set(q).elements),
         }
+    if name in LABELERS:
+        labels = LABELERS[name](q).labels
+        return hashlib.sha256(json.dumps(list(labels)).encode("ascii")).hexdigest()
     g = BUILDERS[name][0](q)
     return hashlib.sha256(rl.write_edge_list(g).encode("ascii")).hexdigest()
 
@@ -60,16 +72,16 @@ def golden():
 
 
 def test_golden_covers_keys(golden):
-    assert list(golden) == GRAPH_KEYS + FIELD_KEYS
+    assert list(golden) == KEYS
 
 
-@pytest.mark.parametrize("key", GRAPH_KEYS + FIELD_KEYS)
+@pytest.mark.parametrize("key", KEYS)
 def test_family_golden(golden, key):
     assert record(key) == golden[key]
 
 
 if __name__ == "__main__":
-    records = {key: record(key) for key in GRAPH_KEYS + FIELD_KEYS}
+    records = {key: record(key) for key in KEYS}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)
