@@ -11,7 +11,10 @@
 - ``p600``, ``c1201`` and ``lollipop``: ``all_pairs_distances`` of
   ``path(600)``, ``cycle(1201)`` and K_300 with a 600-vertex path hung
   from one of its vertices, high-diameter graphs whose breadth-first
-  levels are mostly small (the lollipop's first ones are not).
+  levels are mostly small (the lollipop's first ones are not);
+- ``singer32``: ``singer_label_erq(32)`` and
+  ``singer_label_erq_complement(32)`` (1,057 vertices), the Singer walk
+  labelings of the largest polarity graph timed here, each verified.
 
 The oracle cases report rn next to the seconds and the search nodes, so a
 change of the oracle splits into fewer nodes and cheaper nodes.
@@ -40,7 +43,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-CASES = ("w13", "pg49", "c13", "tadpole66", "p600", "c1201", "lollipop")
+CASES = ("w13", "pg49", "c13", "tadpole66", "p600", "c1201", "lollipop", "singer32")
 DISTANCE_CASES = {
     "p600": lambda rl: rl.path(600),
     "c1201": lambda rl: rl.cycle(1201),
@@ -67,6 +70,16 @@ def run_case(case: str) -> dict:
         t1 = time.perf_counter()
         return {"n": g.n, "distances_s": round(t1 - t0, 3), "peak_rss_mb": peak_rss_mb(),
                 "matrix_sha256": hashlib.sha256(dist.tobytes()).hexdigest()}
+    if case == "singer32":
+        t0 = time.perf_counter()
+        labeling = rl.singer_label_erq(32)
+        t1 = time.perf_counter()
+        co_labeling = rl.singer_label_erq_complement(32)
+        t2 = time.perf_counter()
+        return {"n": labeling.n, "label_s": round(t1 - t0, 3),
+                "complement_label_s": round(t2 - t1, 3), "peak_rss_mb": peak_rss_mb(),
+                "labels_sha256": labels_sha256(labeling.labels),
+                "complement_labels_sha256": labels_sha256(co_labeling.labels)}
     budget = rl.SearchBudget()
     t0 = time.perf_counter()
     if case == "w13":

@@ -18,6 +18,7 @@ from .errors import BadParams, LoopError, NotPrimePower, ParseError, Unsupported
 from .field import (
     DifferenceSet,
     FieldSpec,
+    _add,
     field_add,
     field_mul,
     field_neg,
@@ -144,17 +145,14 @@ def _orthogonality(
 
     The dot products of all pairs are accumulated one coordinate at a
     time, by a gather from one table: ``step[(s*q + w)*q + x]`` is the
-    encoding of s + w*x.  Products come from the exp/log tables; sums add
-    the base-p digits of the encodings mod p.  The running N-by-N array
+    encoding of s + w*x.  Products come from the exp/log tables, sums from
+    the field's digit-wise addition.  The running N-by-N array
     holds table indices, in the smallest dtype that holds q^3 - 1.
     """
-    q, p = f.q, f.p
+    q = f.q
     dtype = np.min_scalar_type(q**3 - 1)
     values = np.arange(q)
-    add = np.zeros((q, q), dtype=np.intp)
-    for place in (p**i for i in range(f.k)):
-        digits = values // place % p
-        add += (digits[:, None] + digits) % p * place
+    add = _add(f, values[:, None], values)
     log = np.asarray(f.log)
     mul = np.asarray(f.exp)[log[:, None] + log]
     mul[0, :] = mul[:, 0] = 0
@@ -260,25 +258,20 @@ def mms_graph(q: int) -> Graph:
     if q % 4 != 1:
         raise UnsupportedOrder(f"need q = 1 (mod 4), got q = {q}")
     even = frozenset(f.exp[0:q - 1:2])
-    odd = frozenset(f.exp[1:q - 1:2])
 
     def vid(s: int, a: int, b: int) -> int:
         return s * q * q + a * q + b
 
     edges = []
-    for a in range(q):
-        for b in range(q):
-            for b2 in range(b + 1, q):
-                delta = field_add(f, b, field_neg(f, b2))
-                if delta in even:
-                    edges.append((vid(0, a, b), vid(0, a, b2)))
-                if delta in odd:
-                    edges.append((vid(1, a, b), vid(1, a, b2)))
+    for b in range(q):
+        for b2 in range(b + 1, q):
+            # b - b2 is nonzero: a square joins part 0, a non-square part 1
+            s = 0 if field_add(f, b, field_neg(f, b2)) in even else 1
+            edges.extend((vid(s, a, b), vid(s, a, b2)) for a in range(q))
     for x in range(q):
-        for y in range(q):
-            for m in range(q):
-                c = field_add(f, y, field_neg(f, field_mul(f, m, x)))
-                edges.append((vid(0, x, y), vid(1, m, c)))
+        for m in range(q):
+            mx = field_neg(f, field_mul(f, m, x))
+            edges.extend((vid(0, x, y), vid(1, m, field_add(f, y, mx))) for y in range(q))
     g = Graph(2 * q * q, edges)
     if regularity(g) != (3 * q - 1) // 2:
         raise AssertionError(f"MMS graph for q={q} is not {(3 * q - 1) // 2}-regular")

@@ -6,8 +6,9 @@ least significant.  The field is defined by its reducing polynomial,
 chosen as the lexicographically smallest monic irreducible of the right
 degree so that every run of the program builds the identical field.
 Polynomial arithmetic runs only while a field is built: it fixes the
-primitive element and fills exp, log and Zech logarithm tables of O(q)
-entries, and every ``field_*`` operation afterwards is a table lookup.
+primitive element and fills exp and log tables of O(q) entries.  Products,
+powers and inverses are table lookups; sums add the base-p digits of the
+encodings mod p, one rule for single elements and numpy arrays alike.
 
 Only what the graph-family constructors need lives here; this is not a
 general-purpose finite field library.
@@ -43,8 +44,8 @@ class FieldSpec:
     term first, length k+1, leading coefficient 1.  The tables derived from
     it follow xi, the smallest generator of the unit group in encoding
     order: ``exp[i] = xi^i`` for 0 <= i < 2(q-1) (the unit group twice over,
-    so a sum of two logs needs no reduction), ``log`` its inverse with
-    ``log[0] = -1``, and the Zech logarithms ``zech[i] = log(1 + xi^i)``.
+    so a sum of two logs needs no reduction) and ``log`` its inverse with
+    ``log[0] = -1``.
     """
 
     p: int
@@ -53,13 +54,11 @@ class FieldSpec:
     modulus: tuple[int, ...]
     exp: tuple[int, ...] = field(init=False, repr=False, compare=False)
     log: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    zech: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        exp, log, zech = _tables(self.p, self.k, self.modulus)
+        exp, log = _tables(self.p, self.k, self.modulus)
         object.__setattr__(self, "exp", exp)
         object.__setattr__(self, "log", log)
-        object.__setattr__(self, "zech", zech)
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ def make_field(q: int) -> FieldSpec:
 
 
 def _tables(p: int, k: int, modulus: tuple[int, ...]):
-    """exp (twice over), log and Zech log tables of GF(p^k) mod ``modulus``.
+    """exp (twice over) and log tables of GF(p^k) mod ``modulus``.
 
     Candidates are walked in encoding order, each through its powers until
     they return to 1; the first whose powers fill the unit group is xi.
@@ -200,9 +199,7 @@ def _tables(p: int, k: int, modulus: tuple[int, ...]):
     log = [-1] * q
     for i, v in enumerate(powers):
         log[v] = i
-    # adding 1 adds one to the constant digit, the least significant one
-    zech = tuple(log[v - v % p + (v + 1) % p] for v in powers)
-    return tuple(powers * 2), tuple(log), zech
+    return tuple(powers * 2), tuple(log)
 
 
 def _check_range(f: FieldSpec, *elems: int) -> None:
@@ -211,13 +208,19 @@ def _check_range(f: FieldSpec, *elems: int) -> None:
             raise ValueError(f"element {a} outside 0..{f.q - 1}")
 
 
+def _add(f: FieldSpec, a, b):
+    """The encoding of a + b, digit by digit mod p; a and b may be ints or
+    numpy integer arrays (elementwise, broadcast)."""
+    total, place = 0, 1
+    for _ in range(f.k):
+        total += (a // place + b // place) % f.p * place
+        place *= f.p
+    return total
+
+
 def field_add(f: FieldSpec, a: int, b: int) -> int:
-    """a + b = xi^la (1 + xi^(lb-la)), one Zech lookup."""
     _check_range(f, a, b)
-    if not a or not b:
-        return a or b
-    z = f.zech[(f.log[b] - f.log[a]) % (f.q - 1)]
-    return f.exp[f.log[a] + z] if z >= 0 else 0
+    return _add(f, a, b)
 
 
 def field_neg(f: FieldSpec, a: int) -> int:

@@ -10,12 +10,19 @@ smallest label).
 Every definite answer produced here is certified: graceful verdicts carry
 a labeling that passes :func:`verify`, non-graceful verdicts carry a
 machine-checkable obstruction.
+
+The Singer labelings of polarity graphs walk Z_n, n = q^2+q+1 odd, by
+v_0 = s and v_t = step_t - v_{t-1}, the steps alternating a, b, a, ...
+Then v_2j = s + j(b-a) and v_2j+1 = a - s - j(b-a), so the walk visits
+every residue exactly once iff gcd(a-b, n) = 1 and 2s = b (mod n): the
+steps are chosen in closed form, with no search.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import combinations
 from math import gcd
 from typing import Optional
 
@@ -314,72 +321,52 @@ def label_hexagon_cage(g: Graph, deadline: int | SearchBudget | None = None):
 # Singer recurrence labelings
 
 
-def _singer_scan(ds: DifferenceSet, want_sums_in_set: bool):
-    """Deterministic parameter scan shared by both recurrence constructions.
+def _singer_steps(ds: DifferenceSet, of_complement: bool) -> tuple[int, int]:
+    """The steps (a, b) of the Singer walk from s = b/2, which covers the
+    odd modulus n iff gcd(a-b, n) = 1 (see the module docstring).
 
-    Yields (sequence, params) for the first parameter tuple, in lexicographic
-    order, whose alternating recurrence visits all residues exactly once.
+    Consecutive walk vertices sum to a or b: both in D makes the walk a
+    path of the Singer graph (the antipodal graph of its complement), both
+    outside D a path of its complement.  For the complement the steps are
+    the first two elements of D in order with a coprime difference (the
+    canonical D starts 0, 1); for the graph, the first d0 < d1 in D and
+    j >= 1 with a = d0 - j and b = d1 - 2 outside D and coprime difference.
     """
-    n = ds.modulus
-    dset = ds.member_set()
-    half = (n + 1) // 2  # (q^2+q+2)/2; n is odd
-    elems = sorted(dset)
-    for d0 in elems:
-        for d1 in elems:
-            if d1 <= d0:
-                continue
-            if want_sums_in_set:
-                # consecutive sums d0/d1 themselves must generate steps
-                # coprime to n for the walk to close over all residues
-                if gcd(d0 - d1, n) != 1:
-                    continue
-                pairs = [(d0 % n, d1 % n, None, None)]
-            else:
-                pairs = (
-                    ((d0 - j0) % n, (d1 - j1) % n, j0, j1)
-                    for j0 in range(1, n + 1)
-                    for j1 in range(1, n + 1)
-                )
-            for a, b, j0, j1 in pairs:
-                if not want_sums_in_set:
-                    if a in dset or b in dset:
-                        continue
-                    if gcd(a - b, n) != 1:
-                        continue
-                seed = (half * d1 - (0 if want_sums_in_set else 1)) % n
-                seq = [seed]
-                for i in range(2, n + 1):
-                    step = a if i % 2 == 0 else b
-                    seq.append((step - seq[-1]) % n)
-                if len(set(seq)) == n:
-                    return seq, (d0, d1, j0, j1)
-    return None, None
+    n, dset = ds.modulus, ds.member_set()
+    if of_complement:
+        candidates = combinations(ds.elements, 2)
+    else:
+        candidates = (((d0 - j) % n, (d1 - 2) % n)
+                      for d0, d1 in combinations(ds.elements, 2)
+                      if (d1 - 2) % n not in dset
+                      for j in range(1, n + 1) if (d0 - j) % n not in dset)
+    for a, b in candidates:
+        if gcd(a - b, n) == 1:
+            return a, b
+    raise ConstructionFailed(f"no Singer walk steps for modulus {n}")
 
 
 def _singer_label(q: int, of_complement: bool) -> RadioLabeling:
-    """Label path position i with i along the recurrence's walk, a
-    Hamiltonian path of the antipodal graph of singer_graph(q) or of its
-    complement; a direct path search stands in if every parameter fails."""
+    """Label position i of the Singer walk with i+1: a Hamiltonian path of
+    the antipodal graph of singer_graph(q) or of its complement."""
     ds = singer_difference_set(q)
     g = _difference_set_graph(ds)
     if of_complement:
         g = complement(g)
-    if of_complement and diameter(g) != 2:
-        raise UnsupportedDiameter(
-            f"complement of the Singer graph for q={q} does not have diameter 2"
-        )
-    seq, _params = _singer_scan(ds, want_sums_in_set=of_complement)
-    if seq is None:
-        cert = find_hamiltonian_path(complement(g))
-        if not isinstance(cert, PathCertificate):
-            raise ConstructionFailed(f"no labeling found for q={q}")
-        seq = list(cert.ordering)
-    labels = [0] * g.n
-    for pos, v in enumerate(seq):
+        if diameter(g) != 2:
+            raise UnsupportedDiameter(
+                f"complement of the Singer graph for q={q} does not have diameter 2"
+            )
+    a, b = _singer_steps(ds, of_complement)
+    n = ds.modulus
+    labels = [0] * n
+    v = b * (n + 1) // 2 % n  # b/2 mod the odd n
+    for pos in range(n):
         labels[v] = pos + 1
+        v = ((a, b)[pos % 2] - v) % n
     labeling = RadioLabeling(tuple(labels))
     if verify(g, labeling):
-        raise ConstructionFailed("recurrence output failed radio verification")
+        raise ConstructionFailed("Singer walk failed radio verification")
     return labeling
 
 
@@ -388,20 +375,19 @@ def singer_label_erq(q: int) -> RadioLabeling:
     of the order-q polarity graph).
 
     Walks a Hamiltonian path of the complement by the alternating
-    recurrence v_i = (d0 - j0) - v_{i-1} / (d1 - j1) - v_{i-1} whose
-    consecutive sums avoid the difference set, then labels path position i
-    with i.  Falls back to a direct path search on the complement if every
-    parameter choice fails."""
+    recurrence v_i = a - v_{i-1} / b - v_{i-1}, whose consecutive sums a
+    and b avoid the difference set, then labels path position i with i+1.
+    """
     return _singer_label(q, of_complement=False)
 
 
 def singer_label_erq_complement(q: int) -> RadioLabeling:
     """Graceful radio labeling of complement(singer_graph(q)).
 
-    The recurrence v_i = d0 - v_{i-1} / d1 - v_{i-1} keeps consecutive sums
-    inside the difference set, giving a Hamiltonian path of the Singer
-    graph itself, which is the antipodal graph of its diameter-2
-    complement."""
+    The recurrence v_i = a - v_{i-1} / b - v_{i-1} with a, b in the
+    difference set keeps consecutive sums inside it, giving a Hamiltonian
+    path of the Singer graph itself, which is the antipodal graph of its
+    diameter-2 complement."""
     return _singer_label(q, of_complement=True)
 
 
@@ -497,43 +483,30 @@ def radio_number_exact(
     # that is never read: any incumbent but n ends in TooLarge
     graceful_only = n > PATH_TABLE_VERTEX_LIMIT
 
-    def greedy_fixed(seq: list[int]) -> tuple[int, list[int]]:
+    def greedy(start: int, adaptive: bool) -> tuple[int, list[int]]:
+        # places start, then the next vertex in index order or, adaptive,
+        # the one with the smallest lower label (the lowest index on ties)
         labels = [0] * n
         bound = [1] * n
-        for i, v in enumerate(seq, 1):
-            f = bound[v]
-            if graceful_only and f > i:
-                return f + n - i, labels
-            labels[v] = f
-            for u in range(n):
-                if labels[u] == 0:
-                    bound[u] = max(bound[u], f + need[v][u])
-        return max(labels), labels
-
-    def greedy_adaptive(start: int) -> tuple[int, list[int]]:
-        # always place the cheapest-to-label vertex next
-        labels = [0] * n
-        bound = [1] * n
+        rest = list(range(n))
         v = start
         for i in range(1, n + 1):
             f = bound[v]
             if graceful_only and f > i:
                 return f + n - i, labels
             labels[v] = f
-            for u in range(n):
-                if labels[u] == 0:
-                    bound[u] = max(bound[u], f + need[v][u])
-            candidates = [u for u in range(n) if labels[u] == 0]
-            if not candidates:
-                break
-            v = min(candidates, key=lambda u: (bound[u], u))
+            rest.remove(v)
+            row = need[v]
+            v = rest[0] if rest else None
+            for u in rest:
+                if f + row[u] > bound[u]:
+                    bound[u] = f + row[u]
+                if adaptive and bound[u] < bound[v]:
+                    v = u
         return max(labels), labels
 
-    best_span, best_labels = greedy_fixed(list(range(n)))
-    for start in range(n):
-        span, labels = greedy_adaptive(start)
-        if span < best_span:
-            best_span, best_labels = span, labels
+    runs = [greedy(0, False)] + [greedy(start, True) for start in range(n)]
+    best_span, best_labels = min(runs, key=lambda run: run[0])
 
     placed: list[int] = []
     fvals: list[int] = []
@@ -726,9 +699,9 @@ def labeling_from_json(text: str) -> tuple[int, int, RadioLabeling]:
         raise ValueError(f"labeling file: missing {', '.join(missing)}")
     labels, diam = payload["labels"], payload["diameter"]
     # bool is an int subclass: JSON true/false must not pass as integers
-    if not isinstance(labels, list) or any(type(x) is not int
-                                           for x in [payload["n"], diam, *labels]):
-        raise ValueError("labeling file: n, labels and diameter must be integers")
+    if not isinstance(labels, list) or any(
+            type(x) is not int for x in [payload["n"], diam, payload["span"], *labels]):
+        raise ValueError("labeling file: n, diameter, labels and span must be integers")
     labeling = RadioLabeling(tuple(labels))
     if payload["n"] != len(labels):
         raise ValueError("labeling file: n does not match labels length")

@@ -304,8 +304,9 @@ def test_verify_rejects_mismatched_diameter(tmp_path, capsys):
     '{"n":1,"labels":[null],"span":1,"diameter":3}',
     '{"n": 2, "diameter": true, "labels": [true, 3], "span": 3}',
     '{"n":true,"labels":[1],"span":1,"diameter":3}',
+    '{"n":6,"labels":[1,3,5,7,9,11],"span":11.0,"diameter":3}',
 ], ids=["empty-object", "array", "null-labels", "no-diameter", "null-label",
-        "boolean-labels", "boolean-n"])
+        "boolean-labels", "boolean-n", "float-span"])
 def test_verify_rejects_malformed_labeling_file(tmp_path, capsys, body):
     graph_file = str(tmp_path / "c6.el")
     labels_file = tmp_path / "bad.json"

@@ -157,7 +157,7 @@ def test_field_pow_negative_exponent():
 
 @pytest.mark.parametrize("q", [25, 27, 32, 49, 64, 81])
 def test_extension_field_tables_match_polynomial_arithmetic(q):
-    # orders beyond the axioms test: Zech addition with k > 1, odd p included
+    # orders beyond the axioms test: digit-wise addition with k > 1, odd p included
     from radiolab.field import _digits, _encode, _poly_mod, _poly_mul
 
     f = make_field(q)

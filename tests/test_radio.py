@@ -810,6 +810,7 @@ def test_labeling_json_rejects_inconsistent_fields():
     '{"n": 2, "diameter": true, "labels": [true, 3], "span": 3}',
     '{"n": 2, "diameter": 1, "labels": [1, false], "span": 1}',
     '{"n": true, "diameter": 1, "labels": [1], "span": 1}',
+    '{"n": 1, "diameter": 1, "labels": [1], "span": true}',
 ])
 def test_labeling_json_rejects_booleans(text):
     # JSON true/false parse as Python bools, which are ints
