@@ -5,6 +5,8 @@
   vertices), then ``label_quadrangle_cage`` on it;
 - ``pg49``: ``analyze(projective_plane_incidence(49))`` (4,902 vertices),
   timed after the build;
+- ``k500-700``: ``settle(complete_bipartite(500, 700))``, which closes
+  rn = 1201 by the span-(n+1) search over the two antipodal components;
 - ``c13``: ``radio_number_exact(cycle(13), vertex_limit=13)``, one past
   the oracle's default vertex limit;
 - ``tadpole66``: ``radio_number_exact(tadpole(6, 6))``;
@@ -16,8 +18,9 @@
   ``singer_label_erq_complement(32)`` (1,057 vertices), the Singer walk
   labelings of the largest polarity graph timed here, each verified.
 
-The oracle cases report rn next to the seconds and the search nodes, so a
-change of the oracle splits into fewer nodes and cheaper nodes.
+The oracle cases report rn, and ``k500-700`` the rn bounds, next to the
+seconds and the search nodes, so a change of a search splits into fewer
+nodes and cheaper nodes.
 
 Each case runs in a fresh child process, so no distance matrix or table
 is shared between them, and reports the child's peak resident set
@@ -43,7 +46,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-CASES = ("w13", "pg49", "c13", "tadpole66", "p600", "c1201", "lollipop", "singer32")
+CASES = ("w13", "pg49", "k500-700", "c13", "tadpole66", "p600", "c1201", "lollipop", "singer32")
 DISTANCE_CASES = {
     "p600": lambda rl: rl.path(600),
     "c1201": lambda rl: rl.cycle(1201),
@@ -94,6 +97,13 @@ def run_case(case: str) -> dict:
         rn, labeling = rl.radio_number_exact(g, vertex_limit=g.n, deadline=budget)
         t2 = time.perf_counter()
         steps = {"build_s": t1 - t0, "oracle_s": t2 - t1, "rn": rn}
+    elif case == "k500-700":
+        g = rl.complete_bipartite(500, 700)
+        t1 = time.perf_counter()
+        verdict, labeling = rl.settle(g, budget)
+        t2 = time.perf_counter()
+        steps = {"build_s": t1 - t0, "settle_s": t2 - t1, "rn_lower": verdict.rn_lower,
+                 "rn_upper": verdict.rn_upper}
     else:
         g = rl.projective_plane_incidence(49)
         t1 = time.perf_counter()

@@ -149,7 +149,7 @@ def cmd_construct(args) -> int:
 def cmd_analyze(args) -> int:
     g = families.read_edge_list(args.graph)
     verdict, labeling = settle(g, args.budget)
-    if labeling is TIMEOUT:  # the oracle or the cage search ran out; the verdict stands
+    if labeling is TIMEOUT:  # a search ran out of budget; the verdict stands
         labeling = None
     payload = verdict.to_json_dict()
     payload.update({"n": g.n, "diameter": diameter(g)})
@@ -215,10 +215,13 @@ def cmd_label(args) -> int:
             return EXIT_NEGATIVE
         else:
             labeling = label_from_antipodal_path(g, cert)
-    elif method == "quad-glue":
-        labeling = label_quadrangle_cage(g, args.budget)
-    elif method == "hex-glue":
-        labeling = label_hexagon_cage(g, args.budget)
+    elif method in ("quad-glue", "hex-glue"):
+        label = label_quadrangle_cage if method == "quad-glue" else label_hexagon_cage
+        labeling = label(g, args.budget)
+        if labeling is None:
+            print("no span-(n+1) labeling of the two antipodal components",
+                  file=sys.stderr)
+            return EXIT_NEGATIVE
     elif method in ("singer", "singer-complement"):
         q = _infer_singer_q(g.n)
         if method == "singer":

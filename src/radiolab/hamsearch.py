@@ -5,7 +5,7 @@ The searches are complete: ``None`` is returned only after the whole
 search space has been exhausted, so callers may treat it as a proof of
 non-existence.  An exhausted node budget yields :data:`TIMEOUT` instead.
 One exact window-ordering search stands behind Hamiltonian paths, cycle
-powers and the cage labelings.  Hamiltonian paths try a constructive
+powers and the span-(n+1) labelings.  Hamiltonian paths try a constructive
 rotation-extension path first, then two root rules that prove absence
 without search nodes (more than two degree-one vertices; a vertex whose
 removal leaves three components, found by one lowpoint depth-first
@@ -104,15 +104,15 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
 
     When one table ties every position k >= 1 to k-1 and the positions
     take every vertex of ``allowed``, the ordering is a Hamiltonian path of
-    that table, taken to be symmetric (adjacency rows are; the cages tie
-    their last point and first line through a second table and skip this
-    rule).  The unplaced vertices must then induce a connected subgraph of
-    it: checked at the root, and after each placement c.  The unplaced
-    set was connected with c in it, so every unplaced vertex reaches an
-    unplaced neighbour of c without passing through c; when those
-    neighbours induce a connected subgraph, so does the whole unplaced
-    set.  Only when they do not does a bitset search over the whole set
-    decide.
+    that table, taken to be symmetric (adjacency rows are; the span-(n+1)
+    labelings tie the labels on either side of the skipped one through
+    another table, or none, and skip this rule).  The unplaced vertices
+    must then induce a connected subgraph of it: checked at the root, and
+    after each placement c.  The unplaced set was connected with c in it,
+    so every unplaced vertex reaches an unplaced neighbour of c without
+    passing through c; when those neighbours induce a connected subgraph,
+    so does the whole unplaced set.  Only when they do not does a bitset
+    search over the whole set decide.
 
     An explicit stack, one node charged per placement.  Returns the
     ordering or None (search space exhausted); raises BudgetExhausted.

@@ -46,12 +46,10 @@ from .graphcore import (
     _bit_rows,
     all_pairs_distances,
     antipodal,
-    bipartite_moore_bound,
     bipartition,
     complement,
     components,
     diameter,
-    regularity,
 )
 from .hamsearch import (
     PathCertificate,
@@ -244,76 +242,64 @@ def label_from_antipodal_path(g: Graph, cert: PathCertificate) -> RadioLabeling:
     return labeling
 
 
-def _cage_parts(g: Graph) -> tuple[list[int], list[int]]:
-    parts = bipartition(g)
-    if parts is None:
-        raise PreconditionFailed("graph is not bipartite")
-    side0 = [v for v in range(g.n) if parts[v] == parts[0]]
-    side1 = [v for v in range(g.n) if parts[v] != parts[0]]
-    return side0, side1
+def _label_two_components(g: Graph, comps, budget: SearchBudget):
+    """Span-(n+1) labeling of a graph whose antipodal graph has the two
+    components ``comps``, vertex 0 in the first: one exact window search
+    orders the a vertices of the first (labels 1..a), then the second
+    (a+2..n+1), so that labels g < diam apart, the pairs across the
+    skipped a+1 included, lie at distance >= diam+1-g.  Returns None when
+    the search is exhausted; raises BudgetExhausted.
 
-
-def _label_cage(g: Graph, deadline, diam: int):
-    """Span-(2m+1) labeling of a cage whose antipodal components are its
-    parts: points get labels 1..m and lines m+2..2m+1, in the order one
-    exact window search finds.  Position k needs distance >= diam+1-g to
-    each earlier position whose label is g < diam below its own, the pairs
-    across the skipped label m+1 included.  A bipartite k-regular graph of
-    diameter diam has at most bipartite_moore_bound(k, diam) vertices, and
-    girth 2*diam forces at least as many: it has that girth at that order."""
-    side0, side1 = _cage_parts(g)
-    if len(side0) != len(side1):
-        raise PreconditionFailed("parts have different sizes")
-    k = regularity(g)
-    if k is None:
-        raise PreconditionFailed("graph is not regular")
-    g_diam = diameter(g)  # raises Disconnected
-    if g_diam != diam:
-        raise PreconditionFailed(f"diameter is {g_diam}, need {diam}")
-    if g.n != bipartite_moore_bound(k, diam):
-        raise PreconditionFailed(f"girth is not {2 * diam}")
-    if sorted(components(antipodal(g))) != sorted([side0, side1]):
-        raise PreconditionFailed("antipodal components do not match the two parts")
-
-    m = len(side0)
+    None proves that no span-(n+1) labeling exists.  One would skip a
+    label s with 1 < s < n+1 (g is not graceful), and consecutive labels
+    need distance diam, so each of the two runs of consecutive labels lies
+    in one antipodal component and is all of it.  The mirror f -> n+2-f
+    swaps the runs, so the first component may take the first run.
+    """
+    diam = diameter(g)
+    a = len(comps[0])
     dist = all_pairs_distances(g)
     rows = {t: _bit_rows(dist >= t) for t in range(2, diam + 1)}
-    points, lines = (sum(1 << v for v in side) for side in (side0, side1))
-    allowed = [points] * m + [lines] * m
-    label = list(range(1, m + 1)) + list(range(m + 2, 2 * m + 2))
+    first, second = (sum(1 << v for v in comp) for comp in comps)
+    allowed = [first] * a + [second] * (g.n - a)
+    label = list(range(1, a + 1)) + list(range(a + 2, g.n + 2))
     constraints = [[(j, diam + 1 - label[k] + label[j])
                     for j in range(max(0, k - diam), k) if label[k] - label[j] < diam]
-                   for k in range(2 * m)]
-
-    try:
-        order = _window_ordering(rows, constraints, allowed, as_budget(deadline))
-    except BudgetExhausted:
-        return TIMEOUT
+                   for k in range(g.n)]
+    order = _window_ordering(rows, constraints, allowed, budget)
     if order is None:
-        raise ConstructionFailed("no span-(2m+1) ordering of points then lines")
+        return None
     # order is a permutation of the vertices: sorted by vertex, its labels
     labeling = RadioLabeling(tuple(f for _, f in sorted(zip(order, label))))
     if verify(g, labeling):
-        raise AssertionError("cage labeling failed verification")
+        raise AssertionError("span-(n+1) labeling failed verification")
     return labeling
 
 
-def label_quadrangle_cage(g: Graph, deadline: int | SearchBudget | None = None):
-    """Span-(2m+1) radio labeling of a (q+1,8)-cage (m = vertices per part).
+def _label_cage(g: Graph, deadline, diam: int):
+    g_diam = diameter(g)  # raises Disconnected
+    if g_diam != diam:
+        raise PreconditionFailed(f"diameter is {g_diam}, need {diam}")
+    comps = components(antipodal(g))
+    if len(comps) != 2:
+        raise PreconditionFailed(f"the antipodal graph has {len(comps)} components, need 2")
+    try:
+        return _label_two_components(g, comps, as_budget(deadline))
+    except BudgetExhausted:
+        return TIMEOUT
 
-    One exact window search orders the points (labels 1..m), then the
-    lines (labels m+2..2m+1), so that every pair fewer than 4 labels
-    apart lies at the distance its label gap needs.  Returns TIMEOUT when
-    the node budget runs out first.
-    """
+
+def label_quadrangle_cage(g: Graph, deadline: int | SearchBudget | None = None):
+    """Span-(n+1) radio labeling of a diameter-4 graph with two antipodal
+    components, such as a (q+1,8)-cage (points and lines), by
+    :func:`_label_two_components`: None when none exists, TIMEOUT when the
+    node budget runs out first."""
     return _label_cage(g, deadline, 4)
 
 
 def label_hexagon_cage(g: Graph, deadline: int | SearchBudget | None = None):
-    """Span-(2m+1) radio labeling of a (q+1,12)-cage, by the same exact
-    window search as :func:`label_quadrangle_cage` with a window of 5
-    labels.  Returns TIMEOUT when the node budget runs out first.
-    """
+    """:func:`label_quadrangle_cage` for diameter 6, such as a
+    (q+1,12)-cage."""
     return _label_cage(g, deadline, 6)
 
 
@@ -639,15 +625,18 @@ def analyze(
 
 def settle(g: Graph, deadline: int | SearchBudget | None = None):
     """The analysis policy: :func:`analyze`'s verdict and best labeling,
-    with rn closed where the oracle or a construction can close it.
+    with rn closed where the oracle or a span-(n+1) labeling closes it.
 
     A graceful verdict is closed already.  Otherwise, up to the oracle's
     vertex limit the exact rn closes both bounds and decides an Unknown
-    verdict (rule ``exact-oracle``); above it, a non-graceful girth-8 or
-    girth-12 cage (diameter 4 or 6) gets the window-search labeling as its
-    upper bound.  The labeling is a RadioLabeling, TIMEOUT (the oracle or
-    the cage search ran out of the one node budget that all three share;
-    the verdict is analyze's) or None.
+    verdict (rule ``exact-oracle``); above it, a non-graceful verdict with
+    two antipodal components gets :func:`_label_two_components`' labeling
+    as its upper bound.  The labeling is a RadioLabeling, TIMEOUT (the
+    oracle or the search ran out of the one node budget that all three
+    share; the verdict is analyze's) or None.  That search can be long
+    where no labeling exists: on the join of K5 + K7 with 3 independent
+    vertices it is exhausted only after 1,016,832 nodes, so a budget of
+    10^6 ends in TIMEOUT.
     """
     budget = as_budget(deadline)
     verdict = analyze(g, budget)
@@ -662,14 +651,14 @@ def settle(g: Graph, deadline: int | SearchBudget | None = None):
             status = RADIO_GRACEFUL if rn == g.n else NOT_RADIO_GRACEFUL
             verdict = replace(verdict, status=status, rule="exact-oracle")
         return replace(verdict, rn_lower=rn, rn_upper=rn), witness
-    label_cage = {4: label_quadrangle_cage, 6: label_hexagon_cage}.get(diameter(g))
-    if verdict.status == UNKNOWN or label_cage is None:
+    comps = getattr(verdict.certificate, "antipodal_components", None)
+    if comps is None or len(comps) != 2:
         return verdict, None
     try:
-        labeling = label_cage(g, budget)
-    except PreconditionFailed:
-        return verdict, None
-    if isinstance(labeling, RadioLabeling):
+        labeling = _label_two_components(g, comps, budget)
+    except BudgetExhausted:
+        return verdict, TIMEOUT
+    if labeling is not None:
         verdict = replace(verdict, rn_upper=labeling.span)
     return verdict, labeling
 

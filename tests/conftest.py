@@ -32,6 +32,13 @@ def atlas_connected(max_n=7):
     return out
 
 
+# diameter 4 and antipodal components of 11 and 3 vertices, yet rn = 22:
+# no span-(n+1) labeling exists
+NO_SPAN_N1_EDGES = [(0, 5), (0, 9), (0, 10), (1, 3), (1, 5), (1, 7), (2, 4), (2, 6),
+                    (3, 5), (3, 7), (3, 11), (4, 9), (4, 10), (4, 13), (5, 13), (6, 12),
+                    (7, 12), (8, 11), (8, 13), (9, 10), (11, 13)]
+
+
 @pytest.fixture
 def distance_matrix_calls(monkeypatch):
     """The order of every graph whose distance matrix is computed during

@@ -10,6 +10,8 @@ import pytest
 import radiolab as rl
 from radiolab.cli import main
 
+from conftest import NO_SPAN_N1_EDGES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -219,6 +221,15 @@ def test_label_hex_glue_budget_exhaustion(tmp_path, capsys):
                        "--budget", "10")
     assert code == 2
     assert "budget" in err
+
+
+def test_label_quad_glue_exhausted_search_is_a_proven_negative(tmp_path, capsys):
+    # the search is exhausted, which proves that no span-15 labeling exists
+    graph_file = tmp_path / "g.el"
+    graph_file.write_text("".join(f"{u} {v}\n" for u, v in NO_SPAN_N1_EDGES))
+    code, out, err = run(capsys, "label", str(graph_file), "--method", "quad-glue")
+    assert (code, out) == (1, "")
+    assert err == "no span-(n+1) labeling of the two antipodal components\n"
 
 
 def test_budget_env_var_and_flag_precedence(tmp_path, capsys, monkeypatch):

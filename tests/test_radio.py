@@ -40,6 +40,7 @@ from radiolab import (
 from radiolab.radio import _path_table
 
 from conftest import (
+    NO_SPAN_N1_EDGES,
     brute_radio_number,
     brute_radio_number_by_orderings,
     random_connected_graph,
@@ -277,11 +278,26 @@ def test_quadrangle_cage_rejects_wrong_shape():
         label_quadrangle_cage(rl.projective_plane_incidence(2))
     with pytest.raises(PreconditionFailed):
         label_quadrangle_cage(rl.petersen())
-    # bipartite, regular, the right diameter, girth 4
-    with pytest.raises(PreconditionFailed, match="girth is not 8"):
+    # the right diameter, but one antipodal component per antipodal pair
+    with pytest.raises(PreconditionFailed, match="has 8 components, need 2"):
         label_quadrangle_cage(_hypercube(4))
-    with pytest.raises(PreconditionFailed, match="girth is not 12"):
+    with pytest.raises(PreconditionFailed, match="has 32 components, need 2"):
         label_hexagon_cage(_hypercube(6))
+
+
+def test_exhausted_two_component_search_is_a_proven_negative():
+    g = Graph(14, NO_SPAN_N1_EDGES)
+    assert sorted(map(len, rl.components(antipodal(g)))) == [3, 11]
+    budget = SearchBudget(10**6)
+    assert label_quadrangle_cage(g, budget) is None
+    assert budget.spent == 18
+    # settle runs the same search above the oracle's limit and leaves rn open
+    budget = SearchBudget(10**6)
+    v, lab = rl.settle(g, budget)
+    assert (v.status, lab, v.rn_lower, v.rn_upper) == (NOT_RADIO_GRACEFUL, None, 15, None)
+    assert budget.spent == 18
+    rn, witness = radio_number_exact(g, vertex_limit=14)
+    assert rn == witness.span == 22 and verify(g, witness) == []
 
 
 def test_quadrangle_cage_timeout():
@@ -709,8 +725,7 @@ def test_settle_small_graphs_use_the_oracle():
     v, lab = rl.settle(rl.cycle(7))
     assert (v.status, v.rule) == (NOT_RADIO_GRACEFUL, "exact-oracle")
     assert v.rn_lower == v.rn_upper == lab.span == 10
-    # C8 passes the bipartite girth-8 checks but not the cage labeling's;
-    # the oracle settles it first
+    # C8's antipodal graph has four components; the oracle settles it
     v, lab = rl.settle(rl.cycle(8))
     assert (v.status, v.rule) == (NOT_RADIO_GRACEFUL, "bipartite-even-diameter")
     assert v.rn_lower == v.rn_upper == lab.span == 14
@@ -722,10 +737,46 @@ def test_settle_small_graphs_use_the_oracle():
 
 
 def test_settle_leaves_other_large_graphs_to_analyze():
-    for g in (rl.cycle(13), rl.complete_bipartite(7, 7), rl.projective_plane_incidence(2)):
-        v, lab = rl.settle(g)
-        assert v == analyze(g)
+    # C14, P40 and Q6 have three or more antipodal components: settle runs
+    # no search of its own on them, as on C13 (Unknown) and PG(2,2) (graceful)
+    for g in (rl.cycle(13), rl.projective_plane_incidence(2), rl.cycle(14), rl.path(40),
+              _hypercube(6)):
+        budget, alone = SearchBudget(10**6), SearchBudget(10**6)
+        v, lab = rl.settle(g, budget)
+        assert v == analyze(g, alone) and budget.spent == alone.spent
         assert lab == (v.certificate if v.status == RADIO_GRACEFUL else None)
+
+
+@pytest.mark.parametrize("m, n", [(7, 7), (3, 20), (1, 30)])
+def test_settle_closes_complete_bipartite_at_n_plus_1(m, n):
+    # the antipodal components are the two sides, cliques of the antipodal
+    # graph, so the search places every vertex once without backtracking
+    g = rl.complete_bipartite(m, n)
+    budget = SearchBudget(10**6)
+    v, lab = rl.settle(g, budget)
+    assert (v.status, v.rule) == (NOT_RADIO_GRACEFUL, "bipartite-even-diameter")
+    assert v.rn_lower == v.rn_upper == lab.span == m + n + 1
+    assert verify(g, lab) == []
+    assert budget.spent == m + n
+
+
+def test_settle_two_component_search_is_complete(atlas7, monkeypatch):
+    # with the oracle switched off, settle's search finds a span-(n+1)
+    # labeling exactly where the oracle's rn is n+1
+    monkeypatch.setattr(rl.radio, "ORACLE_VERTEX_LIMIT", 0)
+    checked = 0
+    for g in atlas7:
+        v = analyze(g)
+        comps = getattr(v.certificate, "antipodal_components", None)
+        if v.status != NOT_RADIO_GRACEFUL or comps is None or len(comps) != 2:
+            continue
+        checked += 1
+        _, lab = rl.settle(g)
+        rn, _ = radio_number_exact(g)
+        assert (lab is not None) == (rn == g.n + 1)
+        if lab is not None:
+            assert lab.span == g.n + 1 and verify(g, lab) == []
+    assert checked == 188
 
 
 def test_analyze_certificates_are_sound(atlas7):
