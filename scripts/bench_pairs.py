@@ -7,8 +7,10 @@ side that runs first alternates from pair to pair.  The result is written
 in the layout of ``BENCH_6.json``: for every end-to-end metric of
 ``BENCHMARK.json``, each side's quartiles (q1, median, q3, inclusive
 method) over the pairs, the number of pairs the change won and tied, and
-every pair's raw numbers.  The file is rewritten after every pair, so an
-interrupted run keeps what it measured.
+every pair's raw numbers.  Per workload, ``case_ratios`` gives for every
+case the median over pairs of change/parent ``seconds_median``, read from
+the results file each side's bench writes.  The file is rewritten after
+every pair, so an interrupted run keeps what it measured.
 
 Make the parent checkout with, for example,
 
@@ -61,10 +63,32 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def results(checkout: Path, workload: str, seed: int) -> dict:
+    """The results file of the checkout's last untraced run."""
+    return json.loads((checkout / "bench" / "results" /
+                       f"{workload}-seed{seed}-trace0.json").read_text())
+
+
 def machine(checkout: Path, workload: str, seed: int) -> dict:
-    meta = json.loads((checkout / "bench" / "results" /
-                       f"{workload}-seed{seed}-trace0.json").read_text())["metadata"]
+    meta = results(checkout, workload, seed)["metadata"]
     return {**{k: meta[k] for k in MACHINE_KEYS}, "git_commit": None}
+
+
+def case_seconds(checkout: Path, workload: str, seed: int) -> dict[str, float]:
+    """Each case's ``seconds_median`` in the checkout's last run."""
+    return {c["name"]: c["seconds_median"]
+            for c in results(checkout, workload, seed)["cases"]}
+
+
+def case_ratios(seconds: list[dict[str, dict[str, float]]]) -> dict[str, float]:
+    """Per case timed on both sides of every pair, the median over pairs
+    of change/parent seconds; ``seconds`` holds one {side: {case:
+    seconds}} entry per pair."""
+    names = [name for name in seconds[0]["parent"]
+             if all(name in pair[side] for pair in seconds for side in SIDES)]
+    return {name: round(statistics.median(
+                pair["change"][name] / pair["parent"][name] for pair in seconds), 4)
+            for name in names}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -128,7 +152,7 @@ def main() -> int:
     index = 0
     for item in args.workload:
         workload, seeds = item.split(":")
-        pairs = []
+        pairs, seconds = [], []
         for seed in parse_seeds(seeds):
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             index += 1
@@ -136,9 +160,13 @@ def main() -> int:
             for side in order:
                 pair[side] = run_bench(checkout[side], workload, seed, args.seconds)
             pairs.append(pair)
+            seconds.append({side: case_seconds(checkout[side], workload, seed)
+                            for side in SIDES})
             report["machine"] = report["machine"] or machine(args.change, workload, seed)
             summary = summarise(pairs, metrics)
-            report["workloads"][workload] = {"summary": summary, "pairs": pairs}
+            report["workloads"][workload] = {"summary": summary,
+                                             "case_ratios": case_ratios(seconds),
+                                             "pairs": pairs}
             claim = report["claim"]
             if claim and claim["workload"] == workload:
                 claim["met"] = claim_met(summary[claim["metric"]])

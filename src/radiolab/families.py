@@ -174,12 +174,11 @@ def projective_plane_incidence(q: int) -> Graph:
     are lines with line j having the same coordinate triple as point j;
     point i lies on line j iff the triples are orthogonal.
     """
-    f = make_field(q)
-    pts = _pg_points(q, 3)
-    n = len(pts)
-    points, lines = np.nonzero(_orthogonality(f, pts, lambda u: u))
-    edges = zip(points.tolist(), (lines + n).tolist())
-    return Graph(2 * n, edges)
+    n = q * q + q + 1
+    # the identity form makes the mask symmetric: row i lists point i's
+    # lines and line i's points alike
+    rows = _bit_rows(_orthogonality(make_field(q), _pg_points(q, 3), lambda u: u))
+    return Graph._trusted(tuple(row << n for row in rows) + tuple(rows))
 
 
 def generalized_quadrangle_incidence(q: int) -> Graph:
@@ -220,10 +219,9 @@ def generalized_quadrangle_incidence(q: int) -> Graph:
 def erdos_renyi_polarity(q: int) -> Graph:
     """Polarity graph on the canonical points of PG(2,q): distinct points
     adjacent iff orthogonal; self-orthogonal (quadric) points carry no loop."""
-    f = make_field(q)
-    pts = _pg_points(q, 3)
-    first, second = np.nonzero(np.triu(_orthogonality(f, pts, lambda u: u), 1))
-    return Graph(len(pts), zip(first.tolist(), second.tolist()))
+    orth = _orthogonality(make_field(q), _pg_points(q, 3), lambda u: u)
+    np.fill_diagonal(orth, False)
+    return Graph._trusted(tuple(_bit_rows(orth)))
 
 
 def singer_graph(q: int) -> Graph:

@@ -5,10 +5,12 @@ digits are the coefficients of a polynomial over GF(p), constant term
 least significant.  The field is defined by its reducing polynomial,
 chosen as the lexicographically smallest monic irreducible of the right
 degree so that every run of the program builds the identical field.
-Polynomial arithmetic runs only while a field is built: it fixes the
-primitive element and fills exp and log tables of O(q) entries.  Products,
-powers and inverses are table lookups; sums add the base-p digits of the
-encodings mod p, one rule for single elements and numpy arrays alike.
+Polynomial arithmetic runs only while a field is built, where it fixes
+the primitive element and fills exp and log tables of O(q) entries, and
+in the Singer walk, which reads q^2+q+1 powers of a primitive element of
+GF(q^3) without building that field's tables.  Products, powers and
+inverses are table lookups; sums add the base-p digits of the encodings
+mod p, one rule for single elements and numpy arrays alike.
 
 Only what the graph-family constructors need lives here; this is not a
 general-purpose finite field library.
@@ -17,6 +19,8 @@ general-purpose finite field library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import NotPrimePower, ZeroInverse
 
@@ -107,6 +111,7 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
                 out[i + j] = (out[i + j] + ai * bj) % p
     return _poly_trim(out)
 
+
 def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
     # m is monic; schoolbook remainder
     a = list(a)
@@ -121,6 +126,18 @@ def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
         if not a:
             break
     return a
+
+
+def _poly_pow(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m, by square and multiply."""
+    out = [1]
+    while True:
+        if e & 1:
+            out = _poly_mod(_poly_mul(out, a, p), m, p)
+        e >>= 1
+        if not e:
+            return out
+        a = _poly_mod(_poly_mul(a, a, p), m, p)
 
 
 def _is_irreducible(m: list[int], p: int) -> bool:
@@ -179,23 +196,32 @@ def make_field(q: int) -> FieldSpec:
     return FieldSpec(p=p, k=k, q=q, modulus=_smallest_irreducible(p, k))
 
 
-def _tables(p: int, k: int, modulus: tuple[int, ...]):
-    """exp (twice over) and log tables of GF(p^k) mod ``modulus``.
+def _primitive(p: int, k: int, m: list[int]) -> list[int]:
+    """xi, the smallest generator of the unit group of GF(p^k) mod ``m``
+    in encoding order, as a coefficient list.
 
-    Candidates are walked in encoding order, each through its powers until
-    they return to 1; the first whose powers fill the unit group is xi.
+    A unit a generates the group of order q-1 iff a^((q-1)/r) != 1 for
+    every prime r dividing q-1, so each candidate costs a few powers
+    rather than a walk through its cyclic subgroup.
     """
-    q, m = p**k, list(modulus)
+    q = p**k
+    cofactors = [(q - 1) // r for r in _factorize(q - 1)]
     for cand in range(1, q):
-        a = _digits(cand, p, k)
-        powers, x = [], [1]
-        while True:
-            powers.append(_encode(x, p))
-            x = _poly_mod(_poly_mul(x, a, p), m, p)
-            if x == [1]:
-                break
-        if len(powers) == q - 1:
-            break
+        a = _poly_trim(_digits(cand, p, k))
+        if all(_poly_pow(a, e, m, p) != [1] for e in cofactors):
+            return a
+    raise AssertionError("no primitive element found")  # impossible
+
+
+def _tables(p: int, k: int, modulus: tuple[int, ...]):
+    """exp (twice over) and log tables of GF(p^k) mod ``modulus``: the
+    powers of :func:`_primitive`'s xi."""
+    q, m = p**k, list(modulus)
+    xi = _primitive(p, k, m)
+    powers, x = [], [1]
+    for _ in range(q - 1):
+        powers.append(_encode(x, p))
+        x = _poly_mod(_poly_mul(x, xi, p), m, p)
     log = [-1] * q
     for i, v in enumerate(powers):
         log[v] = i
@@ -285,20 +311,31 @@ def is_planar_difference_set(elements, n: int) -> bool:
 def singer_difference_set(q: int) -> DifferenceSet:
     """Planar difference set mod q^2+q+1 from a Singer cycle of GF(q^3).
 
-    Point i of the cyclic projective plane is the scalar class of xi^i for
-    a primitive xi of GF(q^3); the set collects the indices lying on the
-    trace-zero line.  The result is canonicalized to the lexicographically
-    smallest translate so downstream constructions are reproducible.
+    Point i of the cyclic projective plane is the scalar class of xi^i,
+    where xi is the primitive element that ``make_field(q**3)`` would
+    choose (the same modulus, the smallest generator in encoding order);
+    the set collects the indices i < q^2+q+1 lying on the trace-zero line.
+    No table of GF(q^3) is built: the walk multiplies polynomials mod the
+    modulus, and the trace y + y^q + y^(q^2), being GF(p)-linear, is read
+    from its values on the 3k basis powers x^j.  The result is
+    canonicalized to the lexicographically smallest translate so
+    downstream constructions are reproducible.
     """
-    make_field(q)  # surfaces NotPrimePower for bad q
-    cube = make_field(q**3)
+    f = make_field(q)  # surfaces NotPrimePower for bad q
+    p, k = f.p, 3 * f.k
+    m = list(_smallest_irreducible(p, k))
+    xi = _primitive(p, k, m)
     n = q * q + q + 1
-    order = q**3 - 1
-    raw = []
-    for i in range(n):
-        y, yq, yqq = (cube.exp[i * e % order] for e in (1, q, q * q))
-        if field_add(cube, field_add(cube, y, yq), yqq) == 0:
-            raw.append(i)
+    trace = []
+    for j in range(k):
+        basis = [0] * j + [1]
+        terms = [basis, _poly_pow(basis, q, m, p), _poly_pow(basis, q * q, m, p)]
+        trace.append([sum(t[c] for t in terms if c < len(t)) % p for c in range(k)])
+    walk, y = [], [1]
+    for _ in range(n):
+        walk.append(y + [0] * (k - len(y)))
+        y = _poly_mod(_poly_mul(y, xi, p), m, p)
+    raw = np.flatnonzero(~(np.array(walk) @ np.array(trace) % p).any(axis=1)).tolist()
     if len(raw) != q + 1:
         raise AssertionError(f"trace-zero line has {len(raw)} points, wanted {q + 1}")
     canonical = min(tuple(sorted((d + t) % n for d in raw)) for t in range(n))

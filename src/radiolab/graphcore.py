@@ -412,23 +412,36 @@ def bipartition(g: Graph) -> Optional[tuple[int, ...]]:
     ones, so that colouring is proper exactly when no edge joins two
     vertices of one level.
     """
-    rows = g._rows
     seen = odd = 0
     for start in range(g.n):
         if seen >> start & 1:
             continue
-        frontier, level = 1 << start, 0
-        while frontier:
-            seen |= frontier
-            if level & 1:
-                odd |= frontier
-            reached = 0
-            for v in _bits(frontier):
-                if rows[v] & frontier:
-                    return None
-                reached |= rows[v]
-            frontier, level = reached & ~seen, level + 1
+        levels = _odd_levels(g._rows, start)
+        if levels is None:
+            return None
+        seen |= levels[0]
+        odd |= levels[1]
     return tuple(odd >> v & 1 for v in range(g.n))
+
+
+def _odd_levels(rows: Sequence[int], start: int) -> Optional[tuple[int, int]]:
+    """The component of ``start`` and its vertices at odd breadth-first
+    level from ``start``, as bitsets over ``rows``; None when an edge
+    joins two vertices of one level, that is when the component has an
+    odd cycle."""
+    seen = odd = 0
+    frontier, level = 1 << start, 0
+    while frontier:
+        seen |= frontier
+        if level & 1:
+            odd |= frontier
+        reached = 0
+        for v in _bits(frontier):
+            if rows[v] & frontier:
+                return None
+            reached |= rows[v]
+        frontier, level = reached & ~seen, level + 1
+    return seen, odd
 
 
 def regularity(g: Graph) -> Optional[int]:

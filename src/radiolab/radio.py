@@ -44,6 +44,7 @@ from .field import DifferenceSet, singer_difference_set
 from .graphcore import (
     Graph,
     _bit_rows,
+    _odd_levels,
     all_pairs_distances,
     antipodal,
     bipartition,
@@ -248,18 +249,26 @@ def _label_two_components(g: Graph, comps, budget: SearchBudget):
     orders the a vertices of the first (labels 1..a), then the second
     (a+2..n+1), so that labels g < diam apart, the pairs across the
     skipped a+1 included, lie at distance >= diam+1-g.  Returns None when
-    the search is exhausted; raises BudgetExhausted.
+    the search is exhausted, or at once when a component is bipartite in
+    the antipodal graph with sides differing by more than 1; raises
+    BudgetExhausted.
 
     None proves that no span-(n+1) labeling exists.  One would skip a
     label s with 1 < s < n+1 (g is not graceful), and consecutive labels
     need distance diam, so each of the two runs of consecutive labels lies
-    in one antipodal component and is all of it.  The mirror f -> n+2-f
-    swaps the runs, so the first component may take the first run.
+    in one antipodal component and is all of it: a Hamiltonian path of
+    that component in the antipodal graph, which alternates the sides of
+    a bipartite one.  The mirror f -> n+2-f swaps the runs, so the first
+    component may take the first run.
     """
     diam = diameter(g)
     a = len(comps[0])
     dist = all_pairs_distances(g)
     rows = {t: _bit_rows(dist >= t) for t in range(2, diam + 1)}
+    for comp in comps:  # rows[diam] is the antipodal graph
+        levels = _odd_levels(rows[diam], comp[0])
+        if levels is not None and abs(len(comp) - 2 * levels[1].bit_count()) > 1:
+            return None
     first, second = (sum(1 << v for v in comp) for comp in comps)
     allowed = [first] * a + [second] * (g.n - a)
     label = list(range(1, a + 1)) + list(range(a + 2, g.n + 2))
@@ -633,10 +642,11 @@ def settle(g: Graph, deadline: int | SearchBudget | None = None):
     two antipodal components gets :func:`_label_two_components`' labeling
     as its upper bound.  The labeling is a RadioLabeling, TIMEOUT (the
     oracle or the search ran out of the one node budget that all three
-    share; the verdict is analyze's) or None.  That search can be long
-    where no labeling exists: on the join of K5 + K7 with 3 independent
-    vertices it is exhausted only after 1,016,832 nodes, so a budget of
-    10^6 ends in TIMEOUT.
+    share; the verdict is analyze's) or None.  A component that is
+    bipartite in the antipodal graph, with sides more than 1 apart in
+    size, ends the search at once (the join of K5 + K7 with 3 independent vertices, whose
+    components are K_{5,7} and K_3, spends no node); other negatives are
+    proved by exhausting it.
     """
     budget = as_budget(deadline)
     verdict = analyze(g, budget)

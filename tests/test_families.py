@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radiolab as rl
@@ -118,6 +119,20 @@ def test_orthogonality_matches_dot_products_under_the_symplectic_form(q):
     assert families._pg_points(q, 4) == pts
     got = families._orthogonality(f, pts, lambda u: symplectic(f, u))
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("q", [19, 23])
+def test_plane_graphs_above_the_golden_orders_match_dot_products(q):
+    # q is prime, so field sums and products are integers mod q
+    pts = np.array(families._pg_points(q, 3))
+    n = len(pts)
+    first, second = np.nonzero(pts @ pts.T % q == 0)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    incidence = rl.Graph(2 * n, [(i, n + j) for i, j in pairs])
+    polarity = rl.Graph(n, [(i, j) for i, j in pairs if i < j])
+    assert rl.projective_plane_incidence(q) == incidence
+    assert rl.erdos_renyi_polarity(q) == polarity
+    assert incidence.num_edges == n * (q + 1)
 
 
 def test_projective_plane_q2_is_heawood():

@@ -1,5 +1,6 @@
 import pytest
 
+from radiolab import field
 from radiolab import (
     DifferenceSet,
     NotPrimePower,
@@ -13,6 +14,7 @@ from radiolab import (
     make_field,
     primitive_element,
     singer_difference_set,
+    singer_label_erq,
 )
 
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -130,6 +132,53 @@ def test_singer_q3():
 def test_singer_propagates_not_prime_power():
     with pytest.raises(NotPrimePower):
         singer_difference_set(6)
+    with pytest.raises(NotPrimePower):
+        singer_label_erq(6)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 9, 16])
+def test_singer_path_builds_no_cubic_field(q, monkeypatch):
+    built = []
+    tables = field._tables
+
+    def spy(p, k, modulus):
+        built.append(p**k)
+        return tables(p, k, modulus)
+
+    monkeypatch.setattr(field, "_tables", spy)
+    singer_difference_set(q)
+    singer_label_erq(q)
+    assert built and set(built) == {q}
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_16)
+def test_singer_primitive_element_is_that_of_the_cubic_field(q, monkeypatch):
+    # the element the Singer walk multiplies by, against the exp table of
+    # make_field(q**3) and against an order walk of every smaller candidate
+    found = {}
+    primitive = field._primitive
+
+    def spy(p, k, m):
+        found[p**k] = out = primitive(p, k, m)
+        return out
+
+    monkeypatch.setattr(field, "_primitive", spy)
+    singer_difference_set(q)
+    cube = make_field(q**3)
+    xi = field._encode(found[q**3], cube.p)
+    assert xi == cube.exp[1]
+    m = list(cube.modulus)
+
+    def order(a):
+        x, k = a, 1
+        while x != [1]:
+            x = field._poly_mod(field._poly_mul(x, a, cube.p), m, cube.p)
+            k += 1
+        return k
+
+    digits = [field._poly_trim(field._digits(c, cube.p, cube.k)) for c in range(1, xi + 1)]
+    assert order(digits[-1]) == q**3 - 1
+    assert all(order(a) < q**3 - 1 for a in digits[:-1])
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_16)

@@ -37,7 +37,7 @@ from radiolab import (
     singer_label_erq_complement,
     verify,
 )
-from radiolab.radio import _path_table
+from radiolab.radio import _label_two_components, _path_table
 
 from conftest import (
     NO_SPAN_N1_EDGES,
@@ -287,17 +287,53 @@ def test_quadrangle_cage_rejects_wrong_shape():
 
 def test_exhausted_two_component_search_is_a_proven_negative():
     g = Graph(14, NO_SPAN_N1_EDGES)
-    assert sorted(map(len, rl.components(antipodal(g)))) == [3, 11]
+    comps = rl.components(antipodal(g))
+    assert sorted(map(len, comps)) == [3, 11]
+    # the 11-vertex component is bipartite 8/3 in the antipodal graph, so
+    # it has no Hamiltonian path there and the search spends no node
+    big = max(comps, key=len)
+    sides = rl.bipartition(antipodal(g).induced_subgraph(big))
+    assert sorted([sides.count(0), sides.count(1)]) == [3, 8]
     budget = SearchBudget(10**6)
     assert label_quadrangle_cage(g, budget) is None
-    assert budget.spent == 18
+    assert budget.spent == 0
     # settle runs the same search above the oracle's limit and leaves rn open
     budget = SearchBudget(10**6)
     v, lab = rl.settle(g, budget)
     assert (v.status, lab, v.rn_lower, v.rn_upper) == (NOT_RADIO_GRACEFUL, None, 15, None)
-    assert budget.spent == 18
+    assert budget.spent == 0
     rn, witness = radio_number_exact(g, vertex_limit=14)
     assert rn == witness.span == 22 and verify(g, witness) == []
+
+
+def test_two_component_search_cut_by_unbalanced_bipartite_component():
+    # the join of K5 + K7 with 3 independent vertices: the antipodal
+    # components are K_{5,7} and K_3, and K_{5,7} has no Hamiltonian path
+    cliques = [(u, v) for part in (range(5), range(5, 12))
+               for u, v in itertools.combinations(part, 2)]
+    g = Graph(15, cliques + [(c, x) for c in range(12) for x in range(12, 15)])
+    comps = rl.components(antipodal(g))
+    assert list(map(len, comps)) == [12, 3]
+    budget = SearchBudget(10**6)
+    assert _label_two_components(g, comps, budget) is None
+    assert budget.spent == 0
+    budget = SearchBudget(10**6)
+    v, lab = rl.settle(g, budget)
+    assert (v.status, lab, v.rn_lower, v.rn_upper) == (NOT_RADIO_GRACEFUL, None, 16, None)
+    assert budget.spent == 0
+
+
+def test_two_component_search_exhausts_past_the_bipartite_cut():
+    # an atlas7 graph whose antipodal components (6 and 1 vertices) pass
+    # the bipartite cut, yet rn = 9 > n+1: the window search must exhaust
+    g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5),
+                  (1, 6), (2, 3), (2, 4), (3, 4)])
+    comps = rl.components(antipodal(g))
+    assert sorted(map(len, comps)) == [1, 6]
+    budget = SearchBudget(10**6)
+    assert _label_two_components(g, comps, budget) is None
+    assert budget.spent == 88
+    assert radio_number_exact(g)[0] == 9
 
 
 def test_quadrangle_cage_timeout():
@@ -380,12 +416,12 @@ def test_singer_complement_consecutive_adjacent_in_singer(q):
 
 @pytest.mark.parametrize("label", [singer_label_erq, singer_label_erq_complement])
 def test_singer_labeling_builds_one_difference_set(label, monkeypatch):
-    # each difference set builds GF(q) and GF(q^3)
+    # each difference set builds GF(q); GF(q^3) is walked without a field
     built = []
     make_field = rl.field.make_field
     monkeypatch.setattr(rl.field, "make_field", lambda q: built.append(q) or make_field(q))
     label(5)
-    assert built == [5, 125]
+    assert built == [5]
 
 
 def test_singer_labelings_are_deterministic():
