@@ -644,9 +644,9 @@ def settle(g: Graph, deadline: int | SearchBudget | None = None):
     oracle or the search ran out of the one node budget that all three
     share; the verdict is analyze's) or None.  A component that is
     bipartite in the antipodal graph, with sides more than 1 apart in
-    size, ends the search at once (the join of K5 + K7 with 3 independent vertices, whose
-    components are K_{5,7} and K_3, spends no node); other negatives are
-    proved by exhausting it.
+    size, ends the search at once (the join of K5 + K7 with 3
+    independent vertices, whose components are K_{5,7} and K_3, spends
+    no node); other negatives are proved by exhausting it.
     """
     budget = as_budget(deadline)
     verdict = analyze(g, budget)
