@@ -7,8 +7,10 @@
   timed after the build;
 - ``k500-700``: ``settle(complete_bipartite(500, 700))``, which closes
   rn = 1201 by the span-(n+1) search over the two antipodal components;
-- ``c13``: ``radio_number_exact(cycle(13), vertex_limit=13)``, one past
-  the oracle's default vertex limit;
+- ``c13`` and ``c15``: ``radio_number_exact(cycle(n), vertex_limit=n)``
+  for n = 13 and 15, one and three past the oracle's default vertex
+  limit; C15's memo fills (2^16 states), and rn must be 36, Liu and
+  Zhu's closed form;
 - ``tadpole66``: ``radio_number_exact(tadpole(6, 6))``;
 - ``p600``, ``c1201`` and ``lollipop``: ``all_pairs_distances`` of
   ``path(600)``, ``cycle(1201)`` and K_300 with a 600-vertex path hung
@@ -46,7 +48,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-CASES = ("w13", "pg49", "k500-700", "c13", "tadpole66", "p600", "c1201", "lollipop", "singer32")
+CASES = ("w13", "pg49", "k500-700", "c13", "c15", "tadpole66", "p600", "c1201", "lollipop",
+         "singer32")
 DISTANCE_CASES = {
     "p600": lambda rl: rl.path(600),
     "c1201": lambda rl: rl.cycle(1201),
@@ -91,8 +94,8 @@ def run_case(case: str) -> dict:
         labeling = rl.label_quadrangle_cage(g, budget)
         t2 = time.perf_counter()
         steps = {"build_s": t1 - t0, "label_s": t2 - t1}
-    elif case in ("c13", "tadpole66"):
-        g = rl.cycle(13) if case == "c13" else rl.tadpole(6, 6)
+    elif case in ("c13", "c15", "tadpole66"):
+        g = rl.tadpole(6, 6) if case == "tadpole66" else rl.cycle(int(case[1:]))
         t1 = time.perf_counter()
         rn, labeling = rl.radio_number_exact(g, vertex_limit=g.n, deadline=budget)
         t2 = time.perf_counter()

@@ -394,6 +394,61 @@ PATH_TABLE_VERTEX_LIMIT = 20  # 2^20 * 20 int16 entries: 40 MiB
 _UNSET = np.iinfo(np.int16).max // 2  # above any path total, with room to add a need
 # search states the oracle's memo keeps; once full it only updates them
 _MEMO_ENTRIES = 1 << 16
+# automorphisms of the need matrix the oracle's sibling rule keeps
+_AUTOMORPHISMS = 1 << 8
+
+
+def _automorphisms(need: list[list[int]], budget: SearchBudget) -> list[tuple[int, ...]]:
+    """Permutations s other than the identity with need[s[u]][s[v]] =
+    need[u][v] for all u, v, in lexicographic order, at most
+    ``_AUTOMORPHISMS`` of them (the identity counted).
+
+    A backtracking search maps the vertices in index order.  The images of
+    u start as the vertices whose sorted need row equals u's; mapping u to
+    w keeps, for each later x, only the images z with need[z][w] =
+    need[x][u], so every image tried agrees with every earlier one, and a
+    later vertex left without images ends the branch.  One budget node
+    per image tried.  Returns [] at once when no two rows sort alike.
+    Raises BudgetExhausted.
+    """
+    n = len(need)
+    shape = [tuple(sorted(row)) for row in need]
+    if len(set(shape)) == n:
+        return []
+    top = max(map(max, need))
+    # equal[w][k]: the vertices z with need[z][w] = k
+    equal = [[0] * (top + 1) for _ in range(n)]
+    for z, row in enumerate(need):
+        for w, k in enumerate(row):
+            equal[w][k] |= 1 << z
+    image = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def extend(u: int, cand: list[int]) -> bool:
+        # cand[x]: the images x may still take; False once the cap is reached
+        if u == n:
+            found.append(tuple(image))
+            return len(found) < _AUTOMORPHISMS
+        c = cand[u]
+        while c:
+            b = c & -c
+            c ^= b
+            if not budget.charge():
+                raise BudgetExhausted
+            w = image[u] = b.bit_length() - 1
+            eq = equal[w]
+            nxt = cand[:]
+            for x in range(u + 1, n):
+                nxt[x] &= eq[need[x][u]]  # need[x][u] < need[w][w]: w drops out
+                if not nxt[x]:
+                    break
+            else:
+                if not extend(u + 1, nxt):
+                    return False
+        return True
+
+    extend(0, [sum(1 << w for w in range(n) if shape[w] == shape[u]) for u in range(n)])
+    return found[1:]  # the first permutation found is the identity
 
 
 def _path_table(need: np.ndarray) -> np.ndarray:
@@ -458,11 +513,26 @@ def radio_number_exact(
     most ``_MEMO_ENTRIES`` states; once full it only updates the ones it
     holds.
 
+    Siblings that are images of each other under an automorphism are
+    searched once.  Each search node carries the automorphisms s of the
+    need matrix found by :func:`_automorphisms` that fix every placed
+    vertex; a child v is skipped when one of them has s(v) < v, and v's
+    child keeps only those with s(v) = v.  Such an s maps the subtree
+    below v onto the one below its earlier sibling s(v), fixing the placed
+    vertices, so label for label it keeps the lower labels, the bounds
+    and every span: nothing below v spans less than the incumbent after
+    s(v)'s subtree, and since only a strict improvement replaces the
+    incumbent, the incumbents and the witness are again those of the
+    plain search.  Any subset of the automorphisms keeps this true.
+
     The table is built at the first child that passes the cheap bound: a
     graph whose greedy incumbent is already |V| never pays for it, and one
-    too large for the table raises TooLarge there.  Above the table's
-    limit only a graceful incumbent can be returned, so each greedy run
-    stops at its first label above its position.
+    too large for the table raises TooLarge there.  The automorphisms are
+    searched at the first child that passes both bounds, so a graph whose
+    root children the bounds cut never pays for them either; that search
+    charges one budget node per image it tries, to the same budget.
+    Above the table's limit only a graceful incumbent can be returned, so
+    each greedy run stops at its first label above its position.
     """
     n = g.n
     if n > vertex_limit:
@@ -510,9 +580,11 @@ def radio_number_exact(
     shift = [n + u * diam.bit_length() for u in range(n)]
     memo: dict[int, int] = {}
 
-    def dfs(last_label: int, rest: int, lower: list[int]):
+    def dfs(last_label: int, rest: int, lower: list[int],
+            syms: Optional[list[tuple[int, ...]]]):
         # rest: bitmask of the vertices still to place; lower[u]: the
-        # smallest label unplaced u could still take
+        # smallest label unplaced u could still take; syms: automorphisms
+        # fixing every placed vertex (None at the root until computed)
         nonlocal best_span, best_labels, tab
         if not budget.charge():
             raise BudgetExhausted
@@ -537,6 +609,10 @@ def radio_number_exact(
                 tab = memoryview(_path_table(need_np).ravel())
             if f + tab[rest * n + v] >= best_span:
                 continue
+            if syms is None:  # only the root gets here without them
+                syms = _automorphisms(need, budget)
+            if syms and any(s[v] < v for s in syms):
+                continue
             left = rest ^ bit
             child = lower[:]
             row = need[v]
@@ -554,14 +630,14 @@ def radio_number_exact(
                 continue
             placed.append(v)
             fvals.append(f)
-            dfs(f, left, child)
+            dfs(f, left, child, [s for s in syms if s[v] == v] if syms else syms)
             placed.pop()
             fvals.pop()
             if seen is not None or len(memo) < _MEMO_ENTRIES:
                 memo[key] = best_span - f
 
     try:
-        dfs(0, (1 << n) - 1, [1] * n)
+        dfs(0, (1 << n) - 1, [1] * n, None)
     except BudgetExhausted:
         return TIMEOUT
     return best_span, RadioLabeling(tuple(best_labels))

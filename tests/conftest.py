@@ -82,6 +82,17 @@ def random_connected_graph(n, p, rng):
     return g
 
 
+def spider(legs: str) -> rl.Graph:
+    """Paths of the given lengths joined at vertex 0."""
+    edges, n = [], 1
+    for length in map(int, legs):
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return rl.Graph(n, edges)
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 

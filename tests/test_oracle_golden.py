@@ -12,8 +12,12 @@ corpus:
 - a seeded random corpus of connected graphs on 2..10 vertices.
 
 The fixed graphs are also run with the oracle's memo of search states
-switched off (no entries): the memo may only save nodes, never change a
-witness.
+switched off (no entries), and with its symmetry pruning switched off (no
+automorphisms): the memo may only save nodes, never change a witness, and
+symmetry pruning may only save nodes of the branch and bound, never change
+a witness.  Its automorphism search is charged to the budget too, so a
+graph with few automorphisms, such as a path, may spend a few more nodes
+in all; the cycles below must spend at most a fifth.
 
 The expected data lives in ``data/oracle_golden.json``.  After an intended
 change of witnesses, regenerate it with
@@ -31,23 +35,12 @@ from pathlib import Path
 import pytest
 
 import radiolab as rl
-from conftest import random_connected_graph
+from conftest import random_connected_graph, spider
 
 GOLDEN = Path(__file__).parent / "data" / "oracle_golden.json"
 
 SPIDER_LEGS = ("332", "422", "431", "2222", "3221", "311111", "2111111", "41111")
 RANDOM_PER_ORDER = 6
-
-
-def spider(legs: str) -> rl.Graph:
-    """Paths of the given lengths joined at vertex 0."""
-    edges, n = [], 1
-    for length in map(int, legs):
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, n))
-            prev, n = n, n + 1
-    return rl.Graph(n, edges)
 
 
 FIXED = {
@@ -108,6 +101,35 @@ def test_oracle_golden(golden, key):
 def test_oracle_golden_without_memo(golden, key, monkeypatch):
     monkeypatch.setattr(rl.radio, "_MEMO_ENTRIES", 0)
     assert record(key) == golden[key]
+
+
+@pytest.mark.parametrize("key", list(FIXED))
+def test_oracle_golden_without_symmetry(golden, key, monkeypatch):
+    monkeypatch.setattr(rl.radio, "_automorphisms", lambda need, budget: [])
+    assert record(key) == golden[key]
+
+
+@pytest.mark.parametrize("key", list(FIXED))
+def test_oracle_golden_with_one_automorphism(golden, key, monkeypatch):
+    # any subset of the automorphisms keeps the witness
+    monkeypatch.setattr(rl.radio, "_AUTOMORPHISMS", 2)
+    assert record(key) == golden[key]
+
+
+# nodes the oracle spends on C_n, at vertex_limit=n, with symmetry pruning
+CYCLE_NODES = {11: 2_744, 12: 3_270, 13: 5_131}
+
+
+@pytest.mark.parametrize("n", list(CYCLE_NODES))
+def test_symmetry_saves_nodes_on_cycles(n, monkeypatch):
+    spent = []
+    for automorphisms in (rl.radio._automorphisms, lambda need, budget: []):
+        monkeypatch.setattr(rl.radio, "_automorphisms", automorphisms)
+        budget = rl.SearchBudget()
+        rl.radio_number_exact(rl.cycle(n), vertex_limit=n, deadline=budget)
+        spent.append(budget.spent)
+    assert spent[0] == CYCLE_NODES[n]
+    assert 5 * spent[0] <= spent[1]
 
 
 def test_memo_saves_nodes_on_cycle_11(monkeypatch):

@@ -37,6 +37,7 @@ from radiolab import (
     singer_label_erq_complement,
     verify,
 )
+from radiolab.budget import BudgetExhausted
 from radiolab.radio import _label_two_components, _path_table
 
 from conftest import (
@@ -44,6 +45,7 @@ from conftest import (
     brute_radio_number,
     brute_radio_number_by_orderings,
     random_connected_graph,
+    spider,
 )
 
 
@@ -528,6 +530,70 @@ def test_radio_number_memo_against_ordering_bruteforce(family, monkeypatch):
     pytest.fail(f"the memo saved nodes on {checked} of 60 graphs")
 
 
+SYMMETRIC = {  # graphs with automorphisms, on at most 9 vertices
+    **{f"cycle-{n}": (lambda n=n: rl.cycle(n)) for n in range(5, 10)},
+    **{f"path-{n}": (lambda n=n: rl.path(n)) for n in range(5, 9)},
+    **{f"spider-{legs}": (lambda legs=legs: spider(legs))
+       for legs in ("113", "1113", "222", "33", "1111")},
+    **{f"k-2-{m}": (lambda m=m: rl.complete_bipartite(2, m)) for m in range(2, 7)},
+    **{f"tadpole-{a}-{b}": (lambda a=a, b=b: rl.tadpole(a, b))
+       for a, b in ((4, 2), (5, 2), (4, 4), (6, 2))},
+}
+# where the oracle's symmetry pruning must save nodes of the search
+SYMMETRY_SAVES = {"cycle-7", "cycle-8", "cycle-9", "spider-1113", "spider-33"}
+
+
+def _no_automorphisms(need, budget):
+    return []
+
+
+@pytest.mark.parametrize("key", list(SYMMETRIC))
+def test_radio_number_symmetry_against_ordering_bruteforce(key, monkeypatch):
+    # seeded relabellings, so that the automorphisms do not follow the
+    # index order; rn does not depend on the numbering
+    base = SYMMETRIC[key]()
+    rn_brute = brute_radio_number_by_orderings(base)
+    for seed in range(3):
+        g = _relabelled(base, random.Random(f"{key}-{seed}"))
+        budget = SearchBudget()
+        rn, witness = radio_number_exact(g, deadline=budget)
+        assert rn == rn_brute
+        assert not verify(g, witness) and witness.span == rn
+        with monkeypatch.context() as patched:
+            patched.setattr(rl.radio, "_automorphisms", _no_automorphisms)
+            plain = SearchBudget()
+            assert radio_number_exact(g, deadline=plain) == (rn, witness)
+        if key in SYMMETRY_SAVES:
+            assert budget.spent < plain.spent
+
+
+def test_automorphisms_of_the_need_matrix():
+    automorphisms = rl.radio._automorphisms
+
+    def need(g):
+        return (rl.diameter(g) + 1 - all_pairs_distances(g)).tolist()
+
+    def check(g):
+        rows = need(g)
+        found = automorphisms(rows, SearchBudget())
+        assert len(set(found)) == len(found)
+        for s in found:
+            assert sorted(s) == list(range(g.n)) and list(s) != list(range(g.n))
+            assert all(rows[s[u]][s[v]] == rows[u][v]
+                       for u in range(g.n) for v in range(g.n))
+        return found
+
+    # the dihedral group of C_8, its identity left out
+    g = _relabelled(rl.cycle(8), random.Random(1))
+    assert len(check(g)) == 15
+    # K_{2,6} has 2 * 6! automorphisms: the search stops at the cap
+    assert len(check(rl.complete_bipartite(2, 6))) == rl.radio._AUTOMORPHISMS - 1
+    # no two rows sort alike: no search, no node
+    g = spider("123")
+    budget = SearchBudget()
+    assert automorphisms(need(g), budget) == [] and budget.spent == 0
+
+
 def test_radio_number_path_table_too_large():
     # the path-bound table is refused before it is allocated
     with pytest.raises(TooLarge, match="path-bound table"):
@@ -554,6 +620,25 @@ def test_radio_number_honours_the_budget():
     budget = SearchBudget(1)
     assert radio_number_exact(rl.complete(6), deadline=budget)[0] == 6
     assert budget.spent == 1
+
+
+def test_radio_number_budget_runs_out_in_the_automorphism_search(monkeypatch):
+    # C11: the root costs one node, and its first child starts the search
+    # for automorphisms, which tries 11 images of vertex 0, 2 of vertex 1
+    # for each, then one of every later vertex: 2 * 11^2 - 11 = 231 nodes
+    automorphisms, ran_out = rl.radio._automorphisms, []
+
+    def spy(need, budget):
+        try:
+            return automorphisms(need, budget)
+        except BudgetExhausted:
+            ran_out.append(budget.spent)
+            raise
+
+    monkeypatch.setattr(rl.radio, "_automorphisms", spy)
+    for nodes in range(1, 240):
+        assert radio_number_exact(rl.cycle(11), deadline=nodes) is TIMEOUT
+    assert ran_out == list(range(2, 233))
 
 
 def liu_zhu_path(n):
