@@ -19,6 +19,11 @@
 - ``singer32``: ``singer_label_erq(32)`` and
   ``singer_label_erq_complement(32)`` (1,057 vertices), the Singer walk
   labelings of the largest polarity graph timed here, each verified.
+- ``table16`` and ``table20``: the oracle's Held-Karp path table
+  (``radio._path_table``) of the need matrices of ``cycle(16)`` and
+  ``tadpole(10, 10)``, the latter at the table's vertex limit of 20;
+  each reports ``table_s`` and a sha256 of the table read in [S, v]
+  order, taken after ``peak_rss_mb``.
 
 The oracle cases report rn, and ``k500-700`` the rn bounds, next to the
 seconds and the search nodes, so a change of a search splits into fewer
@@ -49,12 +54,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 CASES = ("w13", "pg49", "k500-700", "c13", "c15", "tadpole66", "p600", "c1201", "lollipop",
-         "singer32")
+         "singer32", "table16", "table20")
 DISTANCE_CASES = {
     "p600": lambda rl: rl.path(600),
     "c1201": lambda rl: rl.cycle(1201),
     "lollipop": lambda rl: rl.Graph(900, [(u, v) for u in range(300) for v in range(u + 1, 300)]
                                     + [(v, v + 1) for v in range(299, 899)]),
+}
+TABLE_CASES = {
+    "table16": lambda rl: rl.cycle(16),
+    "table20": lambda rl: rl.tadpole(10, 10),
 }
 
 
@@ -76,6 +85,16 @@ def run_case(case: str) -> dict:
         t1 = time.perf_counter()
         return {"n": g.n, "distances_s": round(t1 - t0, 3), "peak_rss_mb": peak_rss_mb(),
                 "matrix_sha256": hashlib.sha256(dist.tobytes()).hexdigest()}
+    if case in TABLE_CASES:
+        from radiolab.radio import _path_table
+
+        g = TABLE_CASES[case](rl)
+        need = rl.diameter(g) + 1 - rl.all_pairs_distances(g)
+        t0 = time.perf_counter()
+        table = _path_table(need)
+        t1 = time.perf_counter()
+        return {"n": g.n, "table_s": round(t1 - t0, 3), "peak_rss_mb": peak_rss_mb(),
+                "table_sha256": hashlib.sha256(table.tobytes()).hexdigest()}
     if case == "singer32":
         t0 = time.perf_counter()
         labeling = rl.singer_label_erq(32)

@@ -278,6 +278,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_radio_number(args) -> int:
+    if args.limit < 1:
+        raise BadParams(f"--limit must be at least 1, got {args.limit}")
     g = families.read_edge_list(args.graph)
     # the oracle refuses graphs above --limit before it computes a distance
     exact = radio_number_exact(g, args.limit)

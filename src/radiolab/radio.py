@@ -396,6 +396,8 @@ _UNSET = np.iinfo(np.int16).max // 2  # above any path total, with room to add a
 _MEMO_ENTRIES = 1 << 16
 # automorphisms of the need matrix the oracle's sibling rule keeps
 _AUTOMORPHISMS = 1 << 8
+# entries in the largest temporary of one path-table block
+_PATH_BLOCK_ENTRIES = 1 << 18
 
 
 def _automorphisms(need: list[list[int]], budget: SearchBudget) -> list[tuple[int, ...]]:
@@ -454,10 +456,16 @@ def _automorphisms(need: list[list[int]], budget: SearchBudget) -> list[tuple[in
 def _path_table(need: np.ndarray) -> np.ndarray:
     """Held-Karp table for a symmetric ``need``: H[S, v] is the least total
     need over the steps of a path that covers exactly the vertex bitmask S
-    and ends at v (v in S; other entries are never read).
+    and ends at v (v in S; the other entries hold ``_UNSET``).
 
-    Filled one popcount layer at a time; no temporary holds more entries
-    than the table.  Raises TooLarge above PATH_TABLE_VERTEX_LIMIT vertices.
+    The table is an (n, 2^n) buffer H[v, S], returned transposed so that
+    it reads H[S, v].  It is filled one popcount layer at a time by
+    pushing: for every set T of layer k-1, ext[v] = min over u of
+    H[u, T] + need[u, v] goes to H[v, T | 1 << v] for v not in T, and
+    H[v, T] goes back unchanged for v in T, so one scatter writes the
+    whole block.  The sets of a layer go in blocks whose n x n x block
+    sum holds at most ``_PATH_BLOCK_ENTRIES`` entries.  Raises TooLarge
+    above PATH_TABLE_VERTEX_LIMIT vertices, before allocating.
     """
     n = len(need)
     if n > PATH_TABLE_VERTEX_LIMIT:
@@ -465,20 +473,25 @@ def _path_table(need: np.ndarray) -> np.ndarray:
             f"the path-bound table of {n} vertices exceeds the limit of "
             f"{PATH_TABLE_VERTEX_LIMIT}"
         )
-    masks = np.arange(1 << n)
-    size = np.zeros(1 << n, dtype=np.int8)
-    for b in range(n):
-        size += (masks >> b) & 1
-    table = np.full((1 << n, n), _UNSET, dtype=np.int16)
-    table[1 << np.arange(n), np.arange(n)] = 0
-    need = need.astype(np.int16)
-    for k in range(2, n + 1):
-        layer = masks[size == k]
-        for v in range(n):
-            bit = 1 << v
-            sets = layer[layer & bit != 0]
-            table[sets, v] = (table[sets ^ bit] + need[v]).min(axis=1)
-    return table
+    size = np.bitwise_count(np.arange(1 << n))
+    order = np.argsort(size, kind="stable")  # the sets, layer by layer
+    ends = np.cumsum(np.bincount(size, minlength=n + 1))
+    verts = np.arange(n)
+    bits = (1 << verts)[:, None]
+    lead = verts[:, None] << n | bits  # H[v, T | 1 << v] is flat[lead | T]
+    table = np.full((n, 1 << n), _UNSET, dtype=np.int16)
+    table[verts, bits[:, 0]] = 0
+    flat = table.reshape(-1)
+    need = need.astype(np.int16)[:, :, None]
+    block = max(1, _PATH_BLOCK_ENTRIES // n ** 2)
+    for k in range(1, n):
+        layer = order[ends[k - 1]:ends[k]]
+        for first in range(0, len(layer), block):
+            sets = layer[first:first + block]
+            prev = table[:, sets]
+            ext = (prev[:, None, :] + need).min(axis=0)
+            flat[lead | sets] = np.where(sets & bits, prev, ext)
+    return table.T
 
 
 def radio_number_exact(
@@ -496,11 +509,12 @@ def radio_number_exact(
     need(x, y) = diam + 1 - d(x, y) >= 1, so a child v placed at label f,
     with R the unplaced vertices (v among them), ends at a span of at least
     f + H[R, v]: the least total need along a path that covers exactly R
-    and ends at v, read from :func:`_path_table`.  A child is cut when the
-    cheap bound f + |R| - 1, or else this path bound, reaches the
-    incumbent.  The incumbent starts from greedy labelings and only a
-    strictly smaller span replaces it, so the witness is the first optimum
-    in search order whatever the bounds cut.
+    and ends at v, read at v << n | R from the flat (n, 2^n) buffer of
+    :func:`_path_table`.  A child is cut when the cheap bound
+    f + |R| - 1, or else this path bound, reaches the incumbent.  The
+    incumbent starts from greedy labelings and only a strictly smaller
+    span replaces it, so the witness is the first optimum in search order
+    whatever the bounds cut.
 
     A memo merges repeated search states.  Below a child placed at f, the
     search depends only on the unplaced set and the offsets lower(u) - f,
@@ -575,7 +589,7 @@ def radio_number_exact(
 
     placed: list[int] = []
     fvals: list[int] = []
-    tab = None  # the flat path table, tab[rest * n + v]
+    tab = None  # the path table's buffer, tab[v << n | rest]
     # offset field of vertex u in a memo key, above the n bits of `left`
     shift = [n + u * diam.bit_length() for u in range(n)]
     memo: dict[int, int] = {}
@@ -606,8 +620,8 @@ def radio_number_exact(
             if f + steps >= best_span:
                 continue
             if tab is None:
-                tab = memoryview(_path_table(need_np).ravel())
-            if f + tab[rest * n + v] >= best_span:
+                tab = memoryview(_path_table(need_np).T.ravel())
+            if f + tab[v << n | rest] >= best_span:
                 continue
             if syms is None:  # only the root gets here without them
                 syms = _automorphisms(need, budget)

@@ -359,6 +359,14 @@ def test_radio_number_command(tmp_path, capsys):
     assert code == 0 and out.strip() == "13"
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_radio_number_rejects_a_limit_below_one(tmp_path, capsys, limit):
+    graph_file = str(tmp_path / "c4.el")
+    run(capsys, "construct", "cycle", "4", "-o", graph_file)
+    code, out, err = run(capsys, "radio-number", graph_file, "--limit", limit)
+    assert (code, out) == (3, "") and "--limit" in err and "oracle limit" not in err
+
+
 def test_radio_number_budget_and_table_limit(tmp_path, capsys, monkeypatch):
     c12 = str(tmp_path / "c12.el")
     run(capsys, "construct", "cycle", "12", "-o", c12)

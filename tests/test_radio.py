@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -44,6 +45,7 @@ from conftest import (
     NO_SPAN_N1_EDGES,
     brute_radio_number,
     brute_radio_number_by_orderings,
+    floyd_warshall,
     random_connected_graph,
     spider,
 )
@@ -691,6 +693,51 @@ def test_path_table_matches_enumeration(n):
         table = _path_table(np.array(need))
         for (mask, v), cost in brute_path_table(need).items():
             assert int(table[mask, v]) == cost
+
+
+def held_karp(need):
+    """{(S, v): least total need of a path covering exactly S, ending at v},
+    by the textbook recurrence over the bitmasks S in increasing order."""
+    n = len(need)
+    best = {(1 << v, v): 0 for v in range(n)}
+    for mask in range(1, 1 << n):
+        for v in range(n):
+            rest = mask ^ 1 << v
+            if mask >> v & 1 and rest:
+                best[mask, v] = min(best[rest, u] + need[u][v]
+                                    for u in range(n) if rest >> u & 1)
+    return best
+
+
+@functools.cache
+def held_karp_cases():
+    rng = random.Random(24)
+    cases = [[[1]]]
+    for n in range(8, 14):
+        diam = rng.randint(1, 6)
+        need = [[diam + 1] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                need[u][v] = need[v][u] = rng.randint(1, diam)
+        cases.append(need)
+    for g in (rl.cycle(11), rl.path(12), rl.petersen()):
+        dist = floyd_warshall(g)
+        diam = max(map(max, dist))
+        cases.append([[diam + 1 - d for d in row] for row in dist])
+    return [(need, held_karp(need)) for need in cases]
+
+
+@pytest.mark.parametrize("block_entries", [None, 1], ids=["default-blocks", "one-set-blocks"])
+def test_path_table_matches_held_karp(monkeypatch, block_entries):
+    # one-set blocks split every layer of more than one set across blocks
+    if block_entries is not None:
+        monkeypatch.setattr(rl.radio, "_PATH_BLOCK_ENTRIES", block_entries)
+    for need, best in held_karp_cases():
+        n = len(need)
+        table = _path_table(np.array(need)).tolist()
+        for mask in range(1 << n):
+            for v in range(n):
+                assert table[mask][v] == best.get((mask, v), rl.radio._UNSET)
 
 
 def diameter_two_graphs():
