@@ -12,6 +12,11 @@
   limit; C15's memo fills (2^16 states), and rn must be 36, Liu and
   Zhu's closed form;
 - ``tadpole66``: ``radio_number_exact(tadpole(6, 6))``;
+- ``p200`` and ``k25``: ``radio_number_exact`` of ``path(200)`` and
+  ``complete(25)`` with the vertex limit at n, above the path table's
+  limit of 20: P200's greedy runs find no graceful labeling, so it ends
+  in TooLarge (reported as its rn), while K25's first run is graceful
+  (rn 25);
 - ``p600``, ``c1201`` and ``lollipop``: ``all_pairs_distances`` of
   ``path(600)``, ``cycle(1201)`` and K_300 with a 600-vertex path hung
   from one of its vertices, high-diameter graphs whose breadth-first
@@ -53,8 +58,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-CASES = ("w13", "pg49", "k500-700", "c13", "c15", "tadpole66", "p600", "c1201", "lollipop",
-         "singer32", "table16", "table20")
+CASES = ("w13", "pg49", "k500-700", "c13", "c15", "tadpole66", "p200", "k25", "p600",
+         "c1201", "lollipop", "singer32", "table16", "table20")
+ORACLE_CASES = {
+    "c13": lambda rl: rl.cycle(13),
+    "c15": lambda rl: rl.cycle(15),
+    "tadpole66": lambda rl: rl.tadpole(6, 6),
+    "p200": lambda rl: rl.path(200),
+    "k25": lambda rl: rl.complete(25),
+}
 DISTANCE_CASES = {
     "p600": lambda rl: rl.path(600),
     "c1201": lambda rl: rl.cycle(1201),
@@ -113,10 +125,13 @@ def run_case(case: str) -> dict:
         labeling = rl.label_quadrangle_cage(g, budget)
         t2 = time.perf_counter()
         steps = {"build_s": t1 - t0, "label_s": t2 - t1}
-    elif case in ("c13", "c15", "tadpole66"):
-        g = rl.tadpole(6, 6) if case == "tadpole66" else rl.cycle(int(case[1:]))
+    elif case in ORACLE_CASES:
+        g = ORACLE_CASES[case](rl)
         t1 = time.perf_counter()
-        rn, labeling = rl.radio_number_exact(g, vertex_limit=g.n, deadline=budget)
+        try:
+            rn, labeling = rl.radio_number_exact(g, vertex_limit=g.n, deadline=budget)
+        except rl.TooLarge:
+            rn, labeling = "TooLarge", None
         t2 = time.perf_counter()
         steps = {"build_s": t1 - t0, "oracle_s": t2 - t1, "rn": rn}
     elif case == "k500-700":
@@ -134,10 +149,11 @@ def run_case(case: str) -> dict:
         steps = {"build_s": t1 - t0, "analyze_s": t2 - t1, "status": verdict.status,
                  "rule": verdict.rule}
         labeling = verdict.certificate
-    return {"n": g.n, **{k: round(v, 3) if isinstance(v, float) else v
+    return {"n": g.n, **{k: round(v, 5) if isinstance(v, float) else v
                          for k, v in steps.items()},
-            "total_s": round(t2 - t0, 3), "nodes": budget.spent,
-            "peak_rss_mb": peak_rss_mb(), "labels_sha256": labels_sha256(labeling.labels)}
+            "total_s": round(t2 - t0, 5), "nodes": budget.spent,
+            "peak_rss_mb": peak_rss_mb(),
+            "labels_sha256": labels_sha256(labeling.labels if labeling else ())}
 
 
 def main() -> int:

@@ -2,17 +2,16 @@
 
 Subcommands: construct, analyze, label, verify, radio-number,
 check-sequence.  Exit codes: 0 success/OK, 1 violations or a proven
-negative, 2 search budget exhausted, 3 usage errors.  Node budgets come
-from --budget, then the RADIOLAB_NODE_BUDGET environment variable, then
-the built-in default; radio-number has no --budget flag and takes the
-other two.  There is no randomness anywhere, so identical invocations
-give byte-identical output.
+negative, 2 search budget exhausted, 3 usage errors and inputs too large
+for memory.  Node budgets come from --budget, then the
+RADIOLAB_NODE_BUDGET environment variable, then the built-in default;
+radio-number has no --budget flag and takes the other two.  There is no
+randomness anywhere, so identical invocations give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import families
@@ -30,6 +29,7 @@ from .hamsearch import PathCertificate, find_hamiltonian_path, verify_certificat
 from .radio import (
     ORACLE_VERTEX_LIMIT,
     RadioLabeling,
+    dump_json,
     label_from_antipodal_path,
     label_hexagon_cage,
     label_quadrangle_cage,
@@ -108,10 +108,6 @@ FAMILIES = {
 }
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="ascii") as fh:
@@ -157,7 +153,7 @@ def cmd_analyze(args) -> int:
         payload["labeling"] = list(labeling.labels)
         payload["labeling_span"] = labeling.span
     if args.json:
-        sys.stdout.write(_dump_json(payload))
+        sys.stdout.write(dump_json(payload))
     else:
         hi = "?" if verdict.rn_upper is None else str(verdict.rn_upper)
         print(f"{verdict.status}; rule: {verdict.rule}; rn in [{verdict.rn_lower}, {hi}]")
@@ -165,7 +161,7 @@ def cmd_analyze(args) -> int:
             print(f"labeling span: {labeling.span}")
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(_dump_json(payload))
+            fh.write(dump_json(payload))
     return EXIT_OK if verdict.status != "Unknown" else EXIT_TIMEOUT
 
 
@@ -264,7 +260,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     violations = verify(g, labeling)
     if args.json:
-        sys.stdout.write(_dump_json({
+        sys.stdout.write(dump_json({
             "ok": not violations,
             "violations": [list(v) for v in violations],
         }))
@@ -288,7 +284,7 @@ def cmd_radio_number(args) -> int:
         return EXIT_TIMEOUT
     rn, witness = exact
     if args.json:
-        sys.stdout.write(_dump_json({"rn": rn, "labels": list(witness.labels)}))
+        sys.stdout.write(dump_json({"rn": rn, "labels": list(witness.labels)}))
     else:
         print(rn)
     if args.out:
@@ -397,6 +393,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RadioLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # such as numpy's, for a huge vertex number
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -503,18 +503,29 @@ def radio_number_exact(
     when the node budget runs out first (one node per entry of the search,
     the root included; a child cut by a bound or the memo costs none).
 
-    Vertices are placed in increasing label order, in index order among
-    siblings, and each takes the smallest label compatible with everything
-    placed.  Consecutive labels of x then y differ by at least
-    need(x, y) = diam + 1 - d(x, y) >= 1, so a child v placed at label f,
-    with R the unplaced vertices (v among them), ends at a span of at least
-    f + H[R, v]: the least total need along a path that covers exactly R
-    and ends at v, read at v << n | R from the flat (n, 2^n) buffer of
-    :func:`_path_table`.  A child is cut when the cheap bound
-    f + |R| - 1, or else this path bound, reaches the incumbent.  The
-    incumbent starts from greedy labelings and only a strictly smaller
-    span replaces it, so the witness is the first optimum in search order
-    whatever the bounds cut.
+    Consecutive labels of x then y differ by at least need(x, y) = diam +
+    1 - d(x, y) >= 1.  The incumbent comes from n + 1 greedy runs: one
+    places the vertices in index order, the others start from each vertex
+    in turn and place next the one with the smallest lower label.  Each
+    takes the smallest label compatible with everything placed.  A run
+    stops once its label f at position i has f + (n - i) reaching the
+    incumbent, since every later label adds at least 1, and only a
+    strictly smaller span replaces the incumbent, so it is the first
+    minimum over the runs.  A graceful incumbent is returned at once,
+    since rn >= n.  Above ``PATH_TABLE_VERTEX_LIMIT`` vertices the
+    incumbent starts at n + 1, so only a graceful run finishes.
+
+    Otherwise the path table of :func:`_path_table` is built once (it
+    raises TooLarge above its limit) and a depth-first search places the
+    vertices in increasing label order, in index order among siblings,
+    each at the smallest compatible label.  A child v placed at label f,
+    with R the unplaced vertices (v among them), ends at a span of at
+    least f + H[R, v]: the least total need along a path that covers
+    exactly R and ends at v, read at v << n | R from the table's flat
+    (n, 2^n) buffer.  The child is cut when that bound reaches the
+    incumbent.  Only a strictly smaller span replaces the incumbent, so
+    the witness is the first optimum in search order whatever the bound
+    cuts.
 
     A memo merges repeated search states.  Below a child placed at f, the
     search depends only on the unplaced set and the offsets lower(u) - f,
@@ -533,20 +544,14 @@ def radio_number_exact(
     vertex; a child v is skipped when one of them has s(v) < v, and v's
     child keeps only those with s(v) = v.  Such an s maps the subtree
     below v onto the one below its earlier sibling s(v), fixing the placed
-    vertices, so label for label it keeps the lower labels, the bounds
-    and every span: nothing below v spans less than the incumbent after
-    s(v)'s subtree, and since only a strict improvement replaces the
-    incumbent, the incumbents and the witness are again those of the
-    plain search.  Any subset of the automorphisms keeps this true.
-
-    The table is built at the first child that passes the cheap bound: a
-    graph whose greedy incumbent is already |V| never pays for it, and one
-    too large for the table raises TooLarge there.  The automorphisms are
-    searched at the first child that passes both bounds, so a graph whose
-    root children the bounds cut never pays for them either; that search
+    vertices, so label for label it keeps the lower labels, the bound and
+    every span: nothing below v spans less than the incumbent after s(v)'s
+    subtree, and since only a strict improvement replaces the incumbent,
+    the incumbents and the witness are again those of the plain search.
+    Any subset of the automorphisms keeps this true.  The automorphisms
+    are searched at the first child that passes the bound, so a graph
+    whose root children the bound cuts never pays for them; that search
     charges one budget node per image it tries, to the same budget.
-    Above the table's limit only a graceful incumbent can be returned, so
-    each greedy run stops at its first label above its position.
     """
     n = g.n
     if n > vertex_limit:
@@ -554,15 +559,12 @@ def radio_number_exact(
     diam = diameter(g)  # raises Disconnected
     need_np = diam + 1 - all_pairs_distances(g)
     need = need_np.tolist()
-    if n == 1:
-        return 1, RadioLabeling((1,))
     budget = as_budget(deadline)
 
-    # a greedy run stopped early reports a span above n and a labeling
-    # that is never read: any incumbent but n ends in TooLarge
-    graceful_only = n > PATH_TABLE_VERTEX_LIMIT
-
-    def greedy(start: int, adaptive: bool) -> tuple[int, list[int]]:
+    # each greedy label is at most diam above the one before, so the first
+    # run always finishes below the table's limit
+    best_span = n + 1 if n > PATH_TABLE_VERTEX_LIMIT else (n - 1) * diam + 2
+    for start, adaptive in [(0, False)] + [(start, True) for start in range(n)]:
         # places start, then the next vertex in index order or, adaptive,
         # the one with the smallest lower label (the lowest index on ties)
         labels = [0] * n
@@ -571,8 +573,8 @@ def radio_number_exact(
         v = start
         for i in range(1, n + 1):
             f = bound[v]
-            if graceful_only and f > i:
-                return f + n - i, labels
+            if f + n - i >= best_span:
+                break
             labels[v] = f
             rest.remove(v)
             row = need[v]
@@ -582,14 +584,13 @@ def radio_number_exact(
                     bound[u] = f + row[u]
                 if adaptive and bound[u] < bound[v]:
                     v = u
-        return max(labels), labels
+        else:
+            best_span, best_labels = f, labels
+            if f == n:
+                return n, RadioLabeling(tuple(labels))
 
-    runs = [greedy(0, False)] + [greedy(start, True) for start in range(n)]
-    best_span, best_labels = min(runs, key=lambda run: run[0])
-
-    placed: list[int] = []
-    fvals: list[int] = []
-    tab = None  # the path table's buffer, tab[v << n | rest]
+    tab = memoryview(_path_table(need_np).T.ravel())  # tab[v << n | rest]
+    labels = [0] * n
     # offset field of vertex u in a memo key, above the n bits of `left`
     shift = [n + u * diam.bit_length() for u in range(n)]
     memo: dict[int, int] = {}
@@ -599,28 +600,19 @@ def radio_number_exact(
         # rest: bitmask of the vertices still to place; lower[u]: the
         # smallest label unplaced u could still take; syms: automorphisms
         # fixing every placed vertex (None at the root until computed)
-        nonlocal best_span, best_labels, tab
+        nonlocal best_span, best_labels
         if not budget.charge():
             raise BudgetExhausted
         if not rest:
             if last_label < best_span:
-                best_span = last_label
-                labels = [0] * n
-                for v, f in zip(placed, fvals):
-                    labels[v] = f
-                best_labels = labels
+                best_span, best_labels = last_label, labels[:]
             return
-        steps = n - len(placed) - 1  # consecutive pairs still to come after v
         r = rest
         while r:
             bit = r & -r
             r ^= bit
             v = bit.bit_length() - 1
             f = lower[v]
-            if f + steps >= best_span:
-                continue
-            if tab is None:
-                tab = memoryview(_path_table(need_np).T.ravel())
             if f + tab[v << n | rest] >= best_span:
                 continue
             if syms is None:  # only the root gets here without them
@@ -642,11 +634,8 @@ def radio_number_exact(
             seen = memo.get(key)
             if seen is not None and f + seen >= best_span:
                 continue
-            placed.append(v)
-            fvals.append(f)
+            labels[v] = f
             dfs(f, left, child, [s for s in syms if s[v] == v] if syms else syms)
-            placed.pop()
-            fvals.pop()
             if seen is not None or len(memo) < _MEMO_ENTRIES:
                 memo[key] = best_span - f
 
@@ -767,15 +756,19 @@ def settle(g: Graph, deadline: int | SearchBudget | None = None):
 # labeling file format
 
 
+def dump_json(payload: dict) -> str:
+    """The canonical JSON line of ``payload``: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def labeling_to_json(g: Graph, labeling: RadioLabeling) -> str:
     """Serialize as the interchange labeling format (stable byte output)."""
-    payload = {
+    return dump_json({
         "n": g.n,
         "diameter": diameter(g),
         "labels": list(labeling.labels),
         "span": labeling.span,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    })
 
 
 def labeling_from_json(text: str) -> tuple[int, int, RadioLabeling]:

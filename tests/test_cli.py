@@ -333,6 +333,21 @@ def test_verify_rejects_malformed_labeling_file(tmp_path, capsys, body):
     assert "Traceback" not in proc.stderr
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a vertex number of 100000 asks for a 10^10-entry distance matrix;
+    # the allocation is simulated, never made
+    graph_file = tmp_path / "far.el"
+    graph_file.write_text("0 1\n1 100000\n")
+
+    def unable(g):
+        raise MemoryError(f"Unable to allocate an array with shape ({g.n}, {g.n})")
+
+    monkeypatch.setattr(rl.graphcore, "_bfs_distances", unable)
+    code, out, err = run(capsys, "analyze", str(graph_file))
+    assert code == 3 and out == ""
+    assert err == "error: out of memory: Unable to allocate an array with shape (100001, 100001)\n"
+
+
 def test_file_reading_commands_close_their_files(tmp_path, capsys):
     graph_file = str(tmp_path / "c4.el")
     labels_file = tmp_path / "c4.json"

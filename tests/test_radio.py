@@ -618,10 +618,80 @@ def test_radio_number_honours_the_budget():
     budget = SearchBudget(10**6)
     rn, _ = radio_number_exact(rl.cycle(12), deadline=budget)
     assert rn == 27 and 0 < budget.spent < 40_000
-    # complete graphs stop at the root: the greedy incumbent is optimal
+    # complete graphs need no search node: the greedy incumbent is graceful
     budget = SearchBudget(1)
     assert radio_number_exact(rl.complete(6), deadline=budget)[0] == 6
-    assert budget.spent == 1
+    assert budget.spent == 0
+
+
+def _spy_path_table(monkeypatch):
+    built = []
+
+    def spy(need):
+        built.append(len(need))
+        return _path_table(need)
+
+    monkeypatch.setattr(rl.radio, "_path_table", spy)
+    return built
+
+
+@pytest.mark.parametrize("g, limit", [
+    (rl.complete(6), 12),
+    (rl.petersen(), 12),
+    (rl.erdos_renyi_polarity(2), 12),
+    (rl.singer_graph(2), 12),
+    (rl.path(1), 12),
+    (rl.complete(25), 25),
+], ids=["K6", "Petersen", "ER(2)", "Singer(2)", "P1", "K25"])
+def test_graceful_greedy_builds_no_table_and_spends_no_node(g, limit, monkeypatch):
+    built = _spy_path_table(monkeypatch)
+    budget = SearchBudget()
+    rn, witness = radio_number_exact(g, vertex_limit=limit, deadline=budget)
+    assert rn == g.n and not verify(g, witness)
+    assert built == [] and budget.spent == 0
+
+
+@pytest.mark.parametrize("g", [rl.cycle(11), rl.path(12)], ids=["C11", "P12"])
+def test_the_search_builds_one_path_table(g, monkeypatch):
+    built = _spy_path_table(monkeypatch)
+    rn, witness = radio_number_exact(g)
+    assert rn > g.n and witness.span == rn and not verify(g, witness)
+    assert built == [g.n]
+
+
+def reference_greedy(g):
+    """The first minimum span, with its labels, over n + 1 full greedy
+    runs: index order, then from each start the vertex with the smallest
+    lower label next (the lowest index on ties)."""
+    n, dist = g.n, floyd_warshall(g)
+    diam = max(map(max, dist))
+    runs = []
+    for start, adaptive in [(0, False)] + [(s, True) for s in range(n)]:
+        labels, order = {}, [start]
+        while len(labels) < n:
+            v = order[-1]
+            labels[v] = max([1] + [f + diam + 1 - dist[u][v] for u, f in labels.items()])
+            rest = [u for u in range(n) if u not in labels]
+            if rest:
+                lower = {u: max(f + diam + 1 - dist[w][u] for w, f in labels.items())
+                         for u in rest}
+                order.append(min(rest, key=lambda u: (lower[u], u)) if adaptive else rest[0])
+        runs.append((max(labels.values()), tuple(labels[v] for v in range(n))))
+    return min(runs, key=lambda run: run[0])
+
+
+def test_radio_number_starts_from_the_first_minimum_greedy_run():
+    rng = random.Random(2025)
+    equal = 0
+    for _ in range(60):
+        g = random_connected_graph(rng.randint(1, 11), rng.uniform(0.15, 0.7), rng)
+        span, labels = reference_greedy(g)
+        rn, witness = radio_number_exact(g)
+        assert rn <= span
+        if rn == span:
+            assert witness.labels == labels
+            equal += 1
+    assert equal >= 10
 
 
 def test_radio_number_budget_runs_out_in_the_automorphism_search(monkeypatch):
