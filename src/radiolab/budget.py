@@ -39,7 +39,7 @@ TIMEOUT = _Timeout()
 
 
 class BudgetExhausted(Exception):
-    """Unwinds a search whose budget ran out; its entry point returns TIMEOUT."""
+    """Unwinds the exact oracle's recursion; radio_number_exact returns TIMEOUT."""
 
 
 class SearchBudget:
@@ -74,12 +74,12 @@ def as_budget(deadline: int | SearchBudget | None) -> SearchBudget:
 
 
 def default_node_budget() -> int:
-    """Default node budget, overridable via RADIOLAB_NODE_BUDGET."""
+    """Default node budget, overridable via RADIOLAB_NODE_BUDGET; a value
+    that is not an integer >= 1 is a ValueError, as for SearchBudget."""
     raw = os.environ.get(ENV_NODE_BUDGET)
     if raw is None:
         return DEFAULT_NODE_BUDGET
     try:
-        value = int(raw)
+        return SearchBudget(int(raw)).remaining
     except ValueError:
-        return DEFAULT_NODE_BUDGET
-    return value if value >= 1 else DEFAULT_NODE_BUDGET
+        raise ValueError(f"{ENV_NODE_BUDGET} must be an integer >= 1, got {raw!r}") from None

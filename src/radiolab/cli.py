@@ -5,7 +5,8 @@ check-sequence.  Exit codes: 0 success/OK, 1 violations or a proven
 negative, 2 search budget exhausted, 3 usage errors and inputs too large
 for memory.  Node budgets come from --budget, then the
 RADIOLAB_NODE_BUDGET environment variable, then the built-in default;
-radio-number has no --budget flag and takes the other two.  There is no
+either one below 1, or an environment value that is not an integer, exits
+3.  radio-number has no --budget flag and takes the other two.  There is no
 randomness anywhere, so identical invocations give byte-identical output.
 """
 

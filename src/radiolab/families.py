@@ -25,7 +25,7 @@ from .field import (
     make_field,
     singer_difference_set,
 )
-from .graphcore import Graph, _bit_rows, bipartite_moore_bound, diameter, regularity
+from .graphcore import Graph, _bit_rows, _bits, bipartite_moore_bound, diameter, regularity
 
 __all__ = [
     "complete",
@@ -188,27 +188,32 @@ def generalized_quadrangle_incidence(q: int) -> Graph:
     (q+1)(q^2+1)); lines are the totally isotropic lines of the form
     x0*y1 - x1*y0 + x2*y3 - x3*y2, numbered N..2N-1 sorted by their point
     index tuples.  The line through orthogonal points x and y is {x,y}^perp,
-    the meet of their perps, taken as an AND of bitset rows; each distinct
-    meet is listed once.  The construction is validated against the
-    expected regularity, diameter 4 and girth 8 before returning; at
+    the meet of their perps, taken as an AND of bitset rows.  Point i
+    meets its lines one at a time, each through the least point j > i of
+    perp(i) that no earlier one covers, and keeps those whose least point
+    is i, so they come out sorted.  The construction is validated against
+    the expected regularity, diameter 4 and girth 8 before returning; at
     diameter 4 girth 8 is the same as the bipartite Moore order.
     """
     f = make_field(q)
     pts = _pg_points(q, 4)
     n = len(pts)
-    orth = _orthogonality(
+    perp = _bit_rows(_orthogonality(
         f, pts, lambda u: (field_neg(f, u[1]), u[0], field_neg(f, u[3]), u[2])
-    )
-    perp = _bit_rows(orth)
-    first, second = np.nonzero(np.triu(orth, 1))
-    meets = {perp[i] & perp[j]: (i, j) for i, j in zip(first.tolist(), second.tolist())}
-    if len(meets) != n:
-        raise AssertionError(f"W({q}): found {len(meets)} isotropic lines, wanted {n}")
-    first, second = np.array(list(meets.values())).T
-    lines = sorted(map(tuple, np.nonzero(orth[first] & orth[second])[1]
-                       .reshape(n, q + 1).tolist()))
-    edges = [(p, n + li) for li, line in enumerate(lines) for p in line]
-    g = Graph(2 * n, edges)
+    ))
+    lines = []
+    for i, row in enumerate(perp):
+        rest = row >> i + 1 << i + 1  # the points of perp(i) above i
+        while rest:
+            line = row & perp[(rest & -rest).bit_length() - 1]
+            rest &= ~line
+            if not line & (1 << i) - 1:
+                lines.append(line)
+    on = [0] * n
+    for li, line in enumerate(lines, n):
+        for p in _bits(line):
+            on[p] |= 1 << li
+    g = Graph._trusted(tuple(on) + tuple(lines))
     if regularity(g) != q + 1:
         raise AssertionError(f"W({q}) incidence graph is not {q + 1}-regular")
     if diameter(g) != 4 or g.n != bipartite_moore_bound(q + 1, 4):

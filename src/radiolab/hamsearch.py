@@ -5,7 +5,8 @@ The searches are complete: ``None`` is returned only after the whole
 search space has been exhausted, so callers may treat it as a proof of
 non-existence.  An exhausted node budget yields :data:`TIMEOUT` instead.
 One exact window-ordering search stands behind Hamiltonian paths, cycle
-powers and the span-(n+1) labelings.  Hamiltonian paths try a constructive
+powers and the span-(n+1) labelings; it returns None and TIMEOUT itself,
+and its callers pass both on.  Hamiltonian paths try a constructive
 rotation-extension path first, then two root rules that prove absence
 without search nodes (more than two degree-one vertices; a vertex whose
 removal leaves three components, found by one lowpoint depth-first
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
+from .budget import TIMEOUT, SearchBudget, as_budget
 from .errors import BadPermutation, PreconditionFailed
 from .graphcore import Graph, _bits
 
@@ -115,7 +116,7 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
     search over the whole set decide.
 
     An explicit stack, one node charged per placement.  Returns the
-    ordering or None (search space exhausted); raises BudgetExhausted.
+    ordering, None (search space exhausted) or TIMEOUT (budget spent).
     """
     size = len(allowed)
     order: list[int] = []
@@ -188,7 +189,7 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
                 free |= 1 << order.pop()
             continue
         if not budget.charge():
-            raise BudgetExhausted
+            return TIMEOUT
         order.append(c)
         free &= ~(1 << c)
         if len(order) == size:
@@ -337,11 +338,10 @@ def find_hamiltonian_path(g: Graph, deadline: int | SearchBudget | None = None):
     # a path endpoint must be a degree-1 vertex whenever one exists
     allowed = [1 << min(degree_one) if degree_one else everyone] + [everyone] * (n - 1)
     constraints = [[]] + [[(k - 1, 0)] for k in range(1, n)]
-    try:
-        order = _window_ordering([rows], constraints, allowed, as_budget(deadline))
-    except BudgetExhausted:
-        return TIMEOUT
-    return None if order is None else PathCertificate(tuple(order), "path")
+    order = _window_ordering([rows], constraints, allowed, as_budget(deadline))
+    if order is None or order is TIMEOUT:
+        return order
+    return PathCertificate(tuple(order), "path")
 
 
 def dirac_hamiltonian_path(g: Graph) -> PathCertificate:
@@ -419,10 +419,7 @@ def find_cycle_power(
         for k in range(n)
     ]
     allowed = [1 << start] + [(1 << n) - 1] * (n - 1)
-    try:
-        order = _window_ordering([g._rows], constraints, allowed, as_budget(deadline))
-    except BudgetExhausted:
-        return TIMEOUT
-    if order is None:
-        return None
+    order = _window_ordering([g._rows], constraints, allowed, as_budget(deadline))
+    if order is None or order is TIMEOUT:
+        return order
     return PathCertificate(tuple(order), "cycle_power", power)

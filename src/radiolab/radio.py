@@ -248,10 +248,10 @@ def _label_two_components(g: Graph, comps, budget: SearchBudget):
     components ``comps``, vertex 0 in the first: one exact window search
     orders the a vertices of the first (labels 1..a), then the second
     (a+2..n+1), so that labels g < diam apart, the pairs across the
-    skipped a+1 included, lie at distance >= diam+1-g.  Returns None when
-    the search is exhausted, or at once when a component is bipartite in
-    the antipodal graph with sides differing by more than 1; raises
-    BudgetExhausted.
+    skipped a+1 included, lie at distance >= diam+1-g.  Returns the
+    labeling, TIMEOUT when the budget runs out, or None when the search is
+    exhausted, or at once when a component is bipartite in the antipodal
+    graph with sides differing by more than 1.
 
     None proves that no span-(n+1) labeling exists.  One would skip a
     label s with 1 < s < n+1 (g is not graceful), and consecutive labels
@@ -276,8 +276,8 @@ def _label_two_components(g: Graph, comps, budget: SearchBudget):
                     for j in range(max(0, k - diam), k) if label[k] - label[j] < diam]
                    for k in range(g.n)]
     order = _window_ordering(rows, constraints, allowed, budget)
-    if order is None:
-        return None
+    if order is None or order is TIMEOUT:
+        return order
     # order is a permutation of the vertices: sorted by vertex, its labels
     labeling = RadioLabeling(tuple(f for _, f in sorted(zip(order, label))))
     if verify(g, labeling):
@@ -292,10 +292,7 @@ def _label_cage(g: Graph, deadline, diam: int):
     comps = components(antipodal(g))
     if len(comps) != 2:
         raise PreconditionFailed(f"the antipodal graph has {len(comps)} components, need 2")
-    try:
-        return _label_two_components(g, comps, as_budget(deadline))
-    except BudgetExhausted:
-        return TIMEOUT
+    return _label_two_components(g, comps, as_budget(deadline))
 
 
 def label_quadrangle_cage(g: Graph, deadline: int | SearchBudget | None = None):
@@ -721,9 +718,9 @@ def settle(g: Graph, deadline: int | SearchBudget | None = None):
     two antipodal components gets :func:`_label_two_components`' labeling
     as its upper bound.  The labeling is a RadioLabeling, TIMEOUT (the
     oracle or the search ran out of the one node budget that all three
-    share; the verdict is analyze's) or None.  A component that is
-    bipartite in the antipodal graph, with sides more than 1 apart in
-    size, ends the search at once (the join of K5 + K7 with 3
+    share and returned it; the verdict is analyze's) or None.  A component
+    that is bipartite in the antipodal graph, with sides more than 1 apart
+    in size, ends the search at once (the join of K5 + K7 with 3
     independent vertices, whose components are K_{5,7} and K_3, spends
     no node); other negatives are proved by exhausting it.
     """
@@ -743,11 +740,8 @@ def settle(g: Graph, deadline: int | SearchBudget | None = None):
     comps = getattr(verdict.certificate, "antipodal_components", None)
     if comps is None or len(comps) != 2:
         return verdict, None
-    try:
-        labeling = _label_two_components(g, comps, budget)
-    except BudgetExhausted:
-        return verdict, TIMEOUT
-    if labeling is not None:
+    labeling = _label_two_components(g, comps, budget)
+    if isinstance(labeling, RadioLabeling):
         verdict = replace(verdict, rn_upper=labeling.span)
     return verdict, labeling
 

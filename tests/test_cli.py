@@ -244,6 +244,18 @@ def test_budget_env_var_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert code == 2  # flag overrides the generous env var
 
 
+@pytest.mark.parametrize("env,flag", [("garbage", []), ("-5", []), (None, ["--budget", "-5"])])
+def test_invalid_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, env, flag):
+    graph_file = str(tmp_path / "cage38.el")
+    run(capsys, "construct", "cage-3-8", "-o", graph_file)
+    if env is not None:
+        monkeypatch.setenv("RADIOLAB_NODE_BUDGET", env)
+    code, out, err = run(capsys, "label", graph_file, "--method", "quad-glue", *flag)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("RADIOLAB_NODE_BUDGET" in err) == (env is not None)
+
+
 @pytest.mark.parametrize("family", [["gq-incidence", "2"], ["cycle", "13"]])
 def test_antipodal_path_checks_diameter_before_searching(tmp_path, capsys,
                                                          monkeypatch, family):

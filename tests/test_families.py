@@ -9,6 +9,7 @@ import pytest
 
 import radiolab as rl
 from radiolab import families
+from radiolab.graphcore import _bit_rows
 from radiolab import (
     BadParams,
     LoopError,
@@ -155,6 +156,29 @@ def test_generalized_quadrangle_invariants(q):
     assert diameter(g) == 4
     assert girth(g) == 8
     assert bipartition(g) == (0,) * m + (1,) * m
+
+
+def meets_quadrangle(q):
+    """W(q) from the meets of the perps of all orthogonal point pairs: each
+    distinct meet is listed once as a line, and the lines are numbered in
+    the sorted order of their point tuples."""
+    f = rl.make_field(q)
+    pts = families._pg_points(q, 4)
+    n = len(pts)
+    orth = families._orthogonality(f, pts, lambda u: symplectic(f, u))
+    perp = _bit_rows(orth)
+    first, second = np.nonzero(np.triu(orth, 1))
+    meets = {perp[i] & perp[j]: (i, j) for i, j in zip(first.tolist(), second.tolist())}
+    assert len(meets) == n
+    first, second = np.array(list(meets.values())).T
+    lines = sorted(map(tuple, np.nonzero(orth[first] & orth[second])[1]
+                       .reshape(n, q + 1).tolist()))
+    return rl.Graph(2 * n, [(p, n + li) for li, line in enumerate(lines) for p in line])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_generalized_quadrangle_matches_the_meets_of_all_pairs(q):
+    assert rl.generalized_quadrangle_incidence(q) == meets_quadrangle(q)
 
 
 def test_gq2_is_tutte_coxeter():
