@@ -12,6 +12,14 @@ case the median over pairs of change/parent ``seconds_median``, read from
 the results file each side's bench writes.  The file is rewritten after
 every pair, so an interrupted run keeps what it measured.
 
+``--control DIR`` names a second extract of the parent, run as a third
+side in the same alternation (parent, change, control forward in one pair
+and backward in the next).  Each workload then also gets ``aa_summary``
+and ``aa_case_ratios``: the same figures for control against parent, two
+copies of one commit, so they show how far the bench moves with no change
+at all.  A claim then also reports ``above_aa_gap``: whether the change's
+median gap exceeds the control's, in either direction.
+
 Make the parent checkout with, for example,
 
     git archive <parent-commit> | (mkdir -p ../parent && tar -x -C ../parent)
@@ -21,6 +29,9 @@ then, from the root of the change checkout,
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload geometry:101-110,20251001 --workload search:20251001 \\
         --claim geometry:cases_per_s --out BENCH_7.json
+
+and, for the control, a second ``git archive`` of the parent into
+``../control``, passed as ``--control ../control``.
 
 ``--workload NAME:SEEDS`` may repeat; SEEDS is a comma list of seeds and
 inclusive ranges ``a-b``, one pair per seed.
@@ -80,14 +91,15 @@ def case_seconds(checkout: Path, workload: str, seed: int) -> dict[str, float]:
             for c in results(checkout, workload, seed)["cases"]}
 
 
-def case_ratios(seconds: list[dict[str, dict[str, float]]]) -> dict[str, float]:
-    """Per case timed on both sides of every pair, the median over pairs
-    of change/parent seconds; ``seconds`` holds one {side: {case:
+def case_ratios(seconds: list[dict[str, dict[str, float]]],
+                side: str = "change") -> dict[str, float]:
+    """Per case timed on the parent and ``side`` in every pair, the median
+    over pairs of side/parent seconds; ``seconds`` holds one {side: {case:
     seconds}} entry per pair."""
     names = [name for name in seconds[0]["parent"]
-             if all(name in pair[side] for pair in seconds for side in SIDES)]
+             if all(name in pair[s] for pair in seconds for s in ("parent", side))]
     return {name: round(statistics.median(
-                pair["change"][name] / pair["parent"][name] for pair in seconds), 4)
+                pair[side][name] / pair["parent"][name] for pair in seconds), 4)
             for name in names}
 
 
@@ -98,34 +110,43 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarise(pairs: list[dict], metrics: dict[str, str]) -> dict:
+def summarise(pairs: list[dict], metrics: dict[str, str], side: str = "change") -> dict:
+    """Per metric, the quartiles of the parent and ``side`` over the pairs,
+    and the pairs ``side`` won and tied."""
     out = {}
     for name, better in metrics.items():
         sign = 1 if better == "higher" else -1
-        gaps = [sign * (p["change"]["metrics"][name] - p["parent"]["metrics"][name])
+        gaps = [sign * (p[side]["metrics"][name] - p["parent"]["metrics"][name])
                 for p in pairs]
         out[name] = {
             "better": better,
-            **{side: quartiles([p[side]["metrics"][name] for p in pairs])
-               for side in SIDES},
-            "change_wins": sum(gap > 0 for gap in gaps),
+            **{s: quartiles([p[s]["metrics"][name] for p in pairs])
+               for s in ("parent", side)},
+            f"{side}_wins": sum(gap > 0 for gap in gaps),
             "ties": sum(gap == 0 for gap in gaps),
             "pairs": len(pairs),
         }
     return out
 
 
-def claim_met(summary: dict) -> bool:
+def median_gap(summary: dict, side: str = "change") -> float:
+    """How far ``side``'s median is better than the parent's (negative
+    when worse)."""
     sign = 1 if summary["better"] == "higher" else -1
-    gap = sign * (summary["change"]["median"] - summary["parent"]["median"])
+    return sign * (summary[side]["median"] - summary["parent"]["median"])
+
+
+def claim_met(summary: dict) -> bool:
     iqr = summary["parent"]["q3"] - summary["parent"]["q1"]
-    return summary["change_wins"] >= 0.9 * summary["pairs"] and gap > iqr
+    return summary["change_wins"] >= 0.9 * summary["pairs"] and median_gap(summary) > iqr
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--control", type=Path, metavar="DIR",
+                        help="a second extract of the parent, run as a third side")
     parser.add_argument("--workload", action="append", required=True,
                         metavar="NAME:SEEDS")
     parser.add_argument("--seconds", type=float, default=25)
@@ -136,7 +157,8 @@ def main() -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    checkout = {"parent": args.parent, "change": args.change}
+    sides = SIDES + (("control",) if args.control else ())
+    checkout = {"parent": args.parent, "change": args.change, "control": args.control}
     report = {
         "about": args.about,
         "command": "python3 bench/run.py --workload <workload> --seed <seed> "
@@ -154,26 +176,32 @@ def main() -> int:
         workload, seeds = item.split(":")
         pairs, seconds = [], []
         for seed in parse_seeds(seeds):
-            order = SIDES if index % 2 == 0 else SIDES[::-1]
+            order = sides if index % 2 == 0 else sides[::-1]
             index += 1
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_bench(checkout[side], workload, seed, args.seconds)
             pairs.append(pair)
             seconds.append({side: case_seconds(checkout[side], workload, seed)
-                            for side in SIDES})
+                            for side in sides})
             report["machine"] = report["machine"] or machine(args.change, workload, seed)
             summary = summarise(pairs, metrics)
-            report["workloads"][workload] = {"summary": summary,
-                                             "case_ratios": case_ratios(seconds),
-                                             "pairs": pairs}
+            entry = {"summary": summary, "case_ratios": case_ratios(seconds)}
+            if args.control:
+                entry["aa_summary"] = summarise(pairs, metrics, "control")
+                entry["aa_case_ratios"] = case_ratios(seconds, "control")
+            report["workloads"][workload] = {**entry, "pairs": pairs}
             claim = report["claim"]
             if claim and claim["workload"] == workload:
                 claim["met"] = claim_met(summary[claim["metric"]])
+                if args.control:
+                    # two copies of the parent moved this far apart
+                    aa_gap = median_gap(entry["aa_summary"][claim["metric"]], "control")
+                    claim["above_aa_gap"] = median_gap(summary[claim["metric"]]) > abs(aa_gap)
             args.out.write_text(json.dumps(report, indent=1) + "\n")
-            c, p = pair["change"]["metrics"], pair["parent"]["metrics"]
-            print(f"{workload} seed {seed} first {order[0]}: " + ", ".join(
-                f"{k} {p[k]:.4g} -> {c[k]:.4g}" for k in metrics), file=sys.stderr)
+            print(f"{workload} seed {seed} first {order[0]} ({' / '.join(sides)}): " + ", ".join(
+                f"{k} " + " / ".join(f"{pair[side]['metrics'][k]:.4g}" for side in sides)
+                for k in metrics), file=sys.stderr)
     return 0
 
 

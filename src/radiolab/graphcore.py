@@ -387,12 +387,14 @@ def _bit_rows(mask: np.ndarray) -> list[int]:
 
 
 def _bits(x: int) -> list[int]:
-    """Indices of the set bits of x, in increasing order."""
+    """Indices of the set bits of x, in increasing order: peeled from the
+    top, so the int shrinks at every step, then reversed once."""
     out = []
     while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
+        b = x.bit_length() - 1
+        out.append(b)
+        x ^= 1 << b
+    out.reverse()
     return out
 
 

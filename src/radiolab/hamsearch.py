@@ -19,6 +19,7 @@ first, ties by index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -73,12 +74,16 @@ def verify_certificate(g: Graph, cert: PathCertificate) -> bool:
 
 def _connected(mask: int, table: Sequence[int]) -> bool:
     """Whether the vertices of ``mask`` induce a connected subgraph of the
-    symmetric relation ``table``: a breadth-first search on bitsets."""
+    symmetric relation ``table``: a breadth-first search on bitsets, which
+    reads a single-vertex frontier's row directly."""
     seen = frontier = mask & -mask
     while frontier:
-        reach = 0
-        for v in _bits(frontier):
-            reach |= table[v]
+        if frontier & (frontier - 1):
+            reach = 0
+            for v in _bits(frontier):
+                reach |= table[v]
+        else:
+            reach = table[frontier.bit_length() - 1]
         frontier = reach & mask & ~seen
         seen |= frontier
     return seen == mask
@@ -95,13 +100,25 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
 
     Candidates go fewest onward candidates (the next position's candidate
     set once they are placed) first, ties by index; one that leaves the
-    next position empty is skipped.  A position with more than
-    ``_BATCH_CANDIDATES`` candidates scores them all at once: the tables
-    that tie it to the next position are packed on first use into n x
-    words arrays of little-endian uint64 rows, the candidates' rows are
-    gathered and ANDed with the next position's set, each candidate's own
-    bit is cleared, and ``np.bitwise_count`` counts the rest; a lexsort on
-    (count, index) gives the same order as the loop on smaller sets.
+    next position empty is skipped.  The tables that tie position k+1 to k
+    are ANDed into one bare tie table per distinct set of them, built on
+    first use and kept for the search, with the diagonal cleared so that
+    no candidate counts itself.  A candidate's score is the integer
+    ``count << shift | vertex``, where ``shift`` is the bit length of the
+    vertex count, so the least score is the least (count, index).
+
+    Head first: a position first computes only its least candidate, and
+    its frame yields that one alone; a search that never backtracks reads
+    nothing else.  On the first backtrack into the position, the frame
+    scores every candidate again (the placed prefix and the free set are
+    what they were then) and yields the rest of the full ranking.  No
+    frame holds a ranking before that.  A position with more than
+    ``_BATCH_CANDIDATES`` candidates scores them all at once: its tie
+    table is packed on first use into an n x words array of little-endian
+    uint64 rows, the candidates' rows are gathered and ANDed with the next
+    position's set, and ``np.bitwise_count`` counts the rest; the least
+    score gives the head, and the sorted scores the same ranking as the
+    loop on smaller sets.
 
     When one table ties every position k >= 1 to k-1 and the positions
     take every vertex of ``allowed``, the ordering is a Hamiltonian path of
@@ -123,64 +140,84 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
     free = 0
     for mask in allowed:
         free |= mask
-    ties = [{t for j, t in constraints[k] if j == k - 1} for k in range(1, size)]
+    ties = [frozenset(t for j, t in constraints[k] if j == k - 1) for k in range(1, size)]
     chain = None
     if ties and free.bit_count() == size:
         chain = next((rows[t] for t in ties[0] if all(t in s for s in ties)), None)
     if chain is not None and not _connected(free, chain):
         return None
-    # ranked(k) scores by the tables that tie position k+1 to k: ties[k]
-    tie_rows = [[rows[t] for t in s] for s in ties]
-    packed: dict = {}
+    shift = free.bit_length().bit_length()
+    low = (1 << shift) - 1  # a score's vertex; a score up to ``low`` has count 0
 
-    def pack(t) -> np.ndarray:
-        """Table t as an n x words array of little-endian uint64 rows,
+    @cache
+    def tie_table(s: frozenset) -> list[int]:
+        """The AND of the tables in s, diagonal cleared, built on first
+        use."""
+        first, *rest = (rows[t] for t in s)
+        table = [row & ~(1 << v) for v, row in enumerate(first)]
+        for other in rest:
+            table = [row & more for row, more in zip(table, other)]
+        return table
+
+    @cache
+    def pack(s: frozenset) -> np.ndarray:
+        """Tie table s as an n x words array of little-endian uint64 rows,
         packed on first use."""
-        if t not in packed:
-            table = rows[t]
-            width = (len(table) + 63) // 64 * 8
-            packed[t] = np.frombuffer(
-                b"".join(row.to_bytes(width, "little") for row in table), dtype="<u8"
-            ).reshape(len(table), -1)
-        return packed[t]
+        table = tie_table(s)
+        width = (len(table) + 63) // 64 * 8
+        return np.frombuffer(
+            b"".join(row.to_bytes(width, "little") for row in table), dtype="<u8"
+        ).reshape(len(table), -1)
 
-    def ranked(k: int) -> list[int]:
+    def scored(k: int, full: bool):
+        """Position k's least candidate (None if there is none), or with
+        ``full`` all its candidates in order."""
         cand = allowed[k] & free
         for j, t in constraints[k]:
             cand &= rows[t][order[j]]
         if k + 1 == size:
-            return _bits(cand)
+            if full:
+                return _bits(cand)
+            return (cand & -cand).bit_length() - 1 if cand else None
         base = allowed[k + 1] & free
         for j, t in constraints[k + 1]:
             if j < k:
                 base &= rows[t][order[j]]
-        if ties[k] and cand.bit_count() > _BATCH_CANDIDATES:
+        if not ties[k]:
+            # nothing ties k+1 to k: a candidate leaves base without itself
+            live = [key for c in _bits(cand)
+                    if (key := (base & ~(1 << c)).bit_count() << shift | c) > low]
+        elif cand.bit_count() > _BATCH_CANDIDATES:
             # the same scores for all candidates at once, on packed rows
-            first, *rest = (pack(t) for t in ties[k])
-            width = first.shape[1] * 8
+            table = pack(ties[k])
+            width = table.shape[1] * 8
             cs = np.flatnonzero(np.unpackbits(
                 np.frombuffer(cand.to_bytes(width, "little"), dtype=np.uint8),
                 bitorder="little"))
-            onward = np.frombuffer(base.to_bytes(width, "little"), dtype="<u8") & first[cs]
-            for table in rest:
-                onward &= table[cs]
-            onward[np.arange(cs.size), cs >> 6] &= ~np.left_shift(
-                np.uint64(1), (cs & 63).astype(np.uint64))
-            counts = np.bitwise_count(onward).sum(axis=1)
-            cs, counts = cs[counts > 0], counts[counts > 0]
-            return cs[np.lexsort((cs, counts))].tolist()
-        tables = tie_rows[k]
-        scored = []
-        for c in _bits(cand):
-            onward = base & ~(1 << c)
-            for table in tables:
-                onward &= table[c]
-            if onward:
-                scored.append((onward.bit_count(), c))
-        scored.sort()
-        return [c for _, c in scored]
+            onward = np.frombuffer(base.to_bytes(width, "little"), dtype="<u8") & table[cs]
+            keys = np.bitwise_count(onward).sum(axis=1, dtype=np.int64) << shift | cs
+            keys = keys[keys > low]
+            if full:
+                return (np.sort(keys) & low).tolist()
+            return int(keys.min()) & low if keys.size else None
+        else:
+            table = tie_table(ties[k])
+            live = [key for c in _bits(cand)
+                    if (key := (base & table[c]).bit_count() << shift | c) > low]
+        if full:
+            live.sort()
+            return [key & low for key in live]
+        return min(live) & low if live else None
 
-    frames = [iter(ranked(0))]
+    def candidates(k: int):
+        """Position k's frame: the least candidate, then, on the first
+        backtrack into k, the rest of the full ranking."""
+        head = scored(k, False)
+        if head is not None:
+            yield head
+            yield from scored(k, True)[1:]
+
+    frames = [candidates(0)]
     while frames:
         c = next(frames[-1], None)
         if c is None:
@@ -198,7 +235,7 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
                 and not _connected(free, chain)):
             free |= 1 << order.pop()
             continue
-        frames.append(iter(ranked(len(order))))
+        frames.append(candidates(len(order)))
     return None
 
 
@@ -411,15 +448,21 @@ def find_cycle_power(
         return None
 
     start = min(range(n), key=lambda v: (g.degree(v), v))
-    # the window of the last ``power`` positions, then the wrap-around
-    # pairs (j, k) with n - k + j <= power not already in that window
-    constraints = [
-        [(j, 0) for j in range(max(0, k - power), k)]
-        + [(j, 0) for j in range(min(k + power - n + 1, k - power))]
-        for k in range(n)
-    ]
     allowed = [1 << start] + [(1 << n) - 1] * (n - 1)
-    order = _window_ordering([g._rows], constraints, allowed, as_budget(deadline))
+    order = _window_ordering([g._rows], _cycle_power_constraints(n, power), allowed,
+                             as_budget(deadline))
     if order is None or order is TIMEOUT:
         return order
     return PathCertificate(tuple(order), "cycle_power", power)
+
+
+def _cycle_power_constraints(n: int, power: int) -> list[list[tuple[int, int]]]:
+    """The window search's pairs for the power-th power of a Hamiltonian
+    cycle on n positions: the last ``power`` positions before k, then, for
+    the last ``power`` positions only, the wrap-around pairs (j, k) with
+    n - k + j <= power not already in that window."""
+    pairs = [(j, 0) for j in range(n)]
+    constraints = [pairs[max(0, k - power):k] for k in range(n)]
+    for k in range(max(0, n - power), n):
+        constraints[k] += pairs[:max(0, min(k + power - n + 1, k - power))]
+    return constraints

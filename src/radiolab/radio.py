@@ -243,9 +243,18 @@ def label_from_antipodal_path(g: Graph, cert: PathCertificate) -> RadioLabeling:
     return labeling
 
 
-def _label_two_components(g: Graph, comps, budget: SearchBudget):
+def _distance_rows(g: Graph, diam: int) -> dict[int, list[int]]:
+    """The bitset rows of ``dist >= t`` for t = 2..diam; those of t = diam
+    are the antipodal graph's."""
+    dist = all_pairs_distances(g)
+    return {t: _bit_rows(dist >= t) for t in range(2, diam + 1)}
+
+
+def _label_two_components(g: Graph, comps, budget: SearchBudget, rows=None):
     """Span-(n+1) labeling of a graph whose antipodal graph has the two
-    components ``comps``, vertex 0 in the first: one exact window search
+    components ``comps``, vertex 0 in the first, over the
+    :func:`_distance_rows` of its diameter (built here unless the caller
+    has them): one exact window search
     orders the a vertices of the first (labels 1..a), then the second
     (a+2..n+1), so that labels g < diam apart, the pairs across the
     skipped a+1 included, lie at distance >= diam+1-g.  Returns the
@@ -261,10 +270,10 @@ def _label_two_components(g: Graph, comps, budget: SearchBudget):
     a bipartite one.  The mirror f -> n+2-f swaps the runs, so the first
     component may take the first run.
     """
-    diam = diameter(g)
+    if rows is None:
+        rows = _distance_rows(g, diameter(g))
+    diam = max(rows)
     a = len(comps[0])
-    dist = all_pairs_distances(g)
-    rows = {t: _bit_rows(dist >= t) for t in range(2, diam + 1)}
     for comp in comps:  # rows[diam] is the antipodal graph
         levels = _odd_levels(rows[diam], comp[0])
         if levels is not None and abs(len(comp) - 2 * levels[1].bit_count()) > 1:
@@ -289,10 +298,11 @@ def _label_cage(g: Graph, deadline, diam: int):
     g_diam = diameter(g)  # raises Disconnected
     if g_diam != diam:
         raise PreconditionFailed(f"diameter is {g_diam}, need {diam}")
-    comps = components(antipodal(g))
+    rows = _distance_rows(g, diam)
+    comps = components(Graph._trusted(tuple(rows[diam])))
     if len(comps) != 2:
         raise PreconditionFailed(f"the antipodal graph has {len(comps)} components, need 2")
-    return _label_two_components(g, comps, as_budget(deadline))
+    return _label_two_components(g, comps, as_budget(deadline), rows)
 
 
 def label_quadrangle_cage(g: Graph, deadline: int | SearchBudget | None = None):

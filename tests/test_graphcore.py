@@ -21,6 +21,7 @@ from radiolab import (
     moore_bound,
     regularity,
 )
+from radiolab.graphcore import _bits
 
 from conftest import (
     atlas_connected,
@@ -757,3 +758,20 @@ def test_distance_matrix_basic_invariants():
     assert (np.diag(d) == 0).all()
     for u, v in g.edges():
         assert d[u, v] == 1
+
+
+def test_bits_matches_a_plain_scan():
+    # peeled from the top bit and reversed: increasing order at any size
+    def plain(x):
+        return [i for i in range(x.bit_length()) if x >> i & 1]
+
+    rng = random.Random(8100)
+    values = [0, (1 << 5000) - 1]
+    values += [1 << b for b in (0, 1, 7, 63, 64, 65, 312, 4095, 4999)]
+    for width in (2, 64, 65, 312, 1200, 4760, 5000):
+        values.append(1 << (width - 1))  # the top bit alone
+        for density in (0.005, 0.1, 0.5, 0.97):
+            values.append(sum(1 << i for i in range(width) if rng.random() < density)
+                          | 1 << (width - 1))
+    for x in values:
+        assert _bits(x) == plain(x)

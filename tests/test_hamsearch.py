@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -20,9 +21,11 @@ from radiolab import (
 )
 
 from radiolab.budget import BudgetExhausted
+from radiolab.graphcore import _bit_rows
 from radiolab.hamsearch import (
     _bits,
     _connected,
+    _cycle_power_constraints,
     _rotation_extension_path,
     _splits_three_ways,
     _window_ordering,
@@ -303,6 +306,106 @@ def test_connectivity_pretest_keeps_the_long_square_search():
     got = _window_run(_window_ordering, g, 2, 10**4)
     assert got == _window_run(_window_ordering_full_bfs, g, 2, 10**4)
     assert got[1] == 1204
+
+
+class _DepthTrace(rl.SearchBudget):
+    """A budget that records, at each charge, how many positions the
+    calling search had filled (its ``order`` list) before the placement."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.depths = []
+
+    def charge(self):
+        self.depths.append(len(sys._getframe(1).f_locals["order"]))
+        return super().charge()
+
+
+def _two_component_instance(rng):
+    """The ``dist >= t`` tables (t = 2..diam) of a random connected graph,
+    and the constraints and allowed sets of a span-(n+1) search over them:
+    labels 1..s-1 on a random set of s-1 vertices, then s+1..n+1 on the
+    rest, labels g < diam apart at distance >= diam+1-g.  When s = n+1
+    nothing is skipped.  Now and then every vertex is allowed at every
+    position, or each position also allows random vertices of the other
+    set."""
+    n = rng.randint(4, 13)
+    g = random_connected_graph(n, rng.uniform(0.15, 0.6), rng)
+    dist = rl.all_pairs_distances(g)
+    diam = int(dist.max())
+    rows = [_bit_rows(dist >= t) if t >= 2 else None for t in range(diam + 1)]
+    skip = rng.randint(2, n + 1)
+    first = sum(1 << v for v in rng.sample(range(n), skip - 1))
+    everyone = (1 << n) - 1
+    allowed = [first] * (skip - 1) + [everyone ^ first] * (n + 1 - skip)
+    mode = rng.random()
+    if mode < 0.25:
+        allowed = [everyone] * n
+    elif mode < 0.5:
+        allowed = [mask | rng.getrandbits(n) for mask in allowed]
+    label = [f for f in range(1, n + 2) if f != skip]
+    constraints = [[(j, diam + 1 - label[k] + label[j])
+                    for j in range(max(0, k - diam), k) if label[k] - label[j] < diam]
+                   for k in range(n)]
+    return rows, constraints, allowed
+
+
+def _traced_run(search, instance, nodes):
+    """The result, nodes spent and per-charge depths of one search;
+    TIMEOUT past ``nodes``."""
+    budget = _DepthTrace(nodes)
+    try:
+        order = search(*instance, budget)
+    except BudgetExhausted:
+        order = TIMEOUT
+    return order, budget.spent, budget.depths
+
+
+@pytest.mark.parametrize("batch", [0, None])
+@pytest.mark.parametrize("seed", range(4))
+def test_two_component_searches_match_the_reference(seed, batch, monkeypatch):
+    # the head-first frames rebuild their ranking on the first backtrack:
+    # the same orderings, node counts and TIMEOUT points as a search that
+    # ranks every position in full, also with budgets that run out just
+    # at and just after a backtrack, batched or not
+    if batch is not None:
+        monkeypatch.setattr(rl.hamsearch, "_BATCH_CANDIDATES", batch)
+    rng = random.Random(7600 + seed)
+    backtracks = 0
+    for _ in range(25):
+        instance = _two_component_instance(rng)
+        got = _traced_run(_window_ordering, instance, 4000)
+        assert got == _traced_run(_window_ordering_full_bfs, instance, 4000)
+        depths = got[2]
+        cuts = [i for i in range(1, len(depths)) if depths[i] <= depths[i - 1]][:6]
+        backtracks += len(cuts)
+        for i in cuts:
+            for nodes in (i, i + 1, i + 2):
+                assert (_traced_run(_window_ordering, instance, nodes)
+                        == _traced_run(_window_ordering_full_bfs, instance, nodes))
+    assert backtracks
+
+
+def test_cycle_power_constraints_match_the_full_expression():
+    # windows for every position, wrap-around pairs for the last ``power``
+    for n in range(3, 31):
+        for power in range(1, 5):
+            assert _cycle_power_constraints(n, power) == [
+                [(j, 0) for j in range(max(0, k - power), k)]
+                + [(j, 0) for j in range(min(k + power - n + 1, k - power))]
+                for k in range(n)
+            ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_connected_matches_components(seed):
+    # the single-vertex frontier reads its row directly
+    rng = random.Random(7700 + seed)
+    for _ in range(40):
+        g = random_graph(rng.randint(1, 30), rng.uniform(0.02, 0.3), rng)
+        mask = sum(1 << v for v in range(g.n) if rng.random() < 0.7) or 1
+        sub = g.induced_subgraph(_bits(mask))
+        assert _connected(mask, g._rows) == (len(components(sub)) == 1)
 
 
 def test_disconnected_graph_costs_no_search_node():
