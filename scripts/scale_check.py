@@ -20,7 +20,12 @@
 - ``p600``, ``c1201`` and ``lollipop``: ``all_pairs_distances`` of
   ``path(600)``, ``cycle(1201)`` and K_300 with a 600-vertex path hung
   from one of its vertices, high-diameter graphs whose breadth-first
-  levels are mostly small (the lollipop's first ones are not);
+  levels are mostly small (the lollipop's first ones are not), so that
+  the search jumps 8 levels at a time past level 8;
+- ``grid40``: ``all_pairs_distances`` of the 40 x 40 grid (1,600
+  vertices, diameter 78), a high-diameter graph whose search keeps single
+  levels: its level 8 takes the bitset step, and its balls of radius 8
+  hold about 25 times the closed neighbourhoods;
 - ``singer32``: ``singer_label_erq(32)`` and
   ``singer_label_erq_complement(32)`` (1,057 vertices), the Singer walk
   labelings of the largest polarity graph timed here, each verified.
@@ -41,9 +46,11 @@ per case the vertex count, the seconds of each step, the search nodes
 spent and a sha256 of the labeling's labels (of the matrix's bytes for
 the distance cases), which must not change from one version of the
 library to the next.  It imports the library from the ``src`` directory
-next to this script.  Run it from anywhere:
+next to this script.  Run it from anywhere, on every case or on the
+cases named:
 
     python3 scripts/scale_check.py
+    python3 scripts/scale_check.py p600 c1201 lollipop grid40
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 CASES = ("w13", "pg49", "k500-700", "c13", "c15", "tadpole66", "p200", "k25", "p600",
-         "c1201", "lollipop", "singer32", "table16", "table20")
+         "c1201", "lollipop", "grid40", "singer32", "table16", "table20")
 ORACLE_CASES = {
     "c13": lambda rl: rl.cycle(13),
     "c15": lambda rl: rl.cycle(15),
@@ -72,6 +79,8 @@ DISTANCE_CASES = {
     "c1201": lambda rl: rl.cycle(1201),
     "lollipop": lambda rl: rl.Graph(900, [(u, v) for u in range(300) for v in range(u + 1, 300)]
                                     + [(v, v + 1) for v in range(299, 899)]),
+    "grid40": lambda rl: rl.Graph(1600, [(v, v + 1) for v in range(1600) if v % 40 != 39]
+                                  + [(v, v + 40) for v in range(1560)]),
 }
 TABLE_CASES = {
     "table16": lambda rl: rl.cycle(16),
@@ -157,15 +166,16 @@ def run_case(case: str) -> dict:
 
 
 def main() -> int:
-    if len(sys.argv) == 2 and sys.argv[1] in CASES:
-        print(json.dumps(run_case(sys.argv[1])))
+    if len(sys.argv) == 3 and sys.argv[1] == "--child" and sys.argv[2] in CASES:
+        print(json.dumps(run_case(sys.argv[2])))
         return 0
-    if len(sys.argv) != 1:
-        print(f"usage: {sys.argv[0]}", file=sys.stderr)
+    cases = sys.argv[1:] or CASES
+    if not set(cases) <= set(CASES):
+        print(f"usage: {sys.argv[0]} [{' | '.join(CASES)}] ...", file=sys.stderr)
         return 2
     out = {}
-    for case in CASES:
-        proc = subprocess.run([sys.executable, __file__, case], capture_output=True,
+    for case in cases:
+        proc = subprocess.run([sys.executable, __file__, "--child", case], capture_output=True,
                               text=True, check=True)
         out[case] = json.loads(proc.stdout)
     print(json.dumps(out))

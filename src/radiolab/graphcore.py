@@ -46,14 +46,20 @@ class Graph:
     search: ``_rows[v]`` is a Python int whose bit w is set when w is a
     neighbour of v.  Rows take up to n²/8 bytes, 1/32 of the int32
     distance matrix every analysis builds; the search that builds it also
-    holds an n x n byte mask, bitsets the size of the rows and a gather
-    of at most 8 MB, so the rows are a small share of the peak.  But a
+    holds an n x n byte mask, bitsets the size of the rows and a bitset
+    gather of at most 8 MB, so the rows are a small share of the peak.
+    A search that jumps (see ``_bfs_distances``) also holds ball lists of
+    at most 8(2m+n) entries of 12 bytes, and one jump gathers at most 8
+    times the top-down limit, 2.8(2m+n)·ceil(n/64) entries.  But a
     sparse graph of more than about 10^5 vertices costs more to build
     than as neighbour sets, a row being as long as its highest
     neighbour's index.
+
+    The distance matrix and the diameter (UNREACHABLE when the graph is
+    disconnected) are kept on the graph once computed.
     """
 
-    __slots__ = ("n", "num_edges", "_rows", "_distances")
+    __slots__ = ("n", "num_edges", "_rows", "_distances", "_diameter")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -71,6 +77,7 @@ class Graph:
         self.num_edges = sum(map(int.bit_count, rows)) // 2
         self._rows: tuple[int, ...] = tuple(rows)
         self._distances: Optional[np.ndarray] = None
+        self._diameter: Optional[int] = None
 
     @classmethod
     def _trusted(cls, rows: tuple[int, ...]) -> "Graph":
@@ -81,6 +88,7 @@ class Graph:
         g.num_edges = sum(map(int.bit_count, rows)) // 2
         g._rows = rows
         g._distances = None
+        g._diameter = None
         return g
 
     def neighbors(self, v: int) -> list[int]:
@@ -169,6 +177,23 @@ _TOP_DOWN_SHARE = 0.35
 # words of balls that one block of a bitset step gathers at most
 _BITSET_BLOCK_WORDS = 1 << 20
 
+# levels one ball jump advances.  With no cap, R = 4 takes P600, C1201 and
+# the 900-vertex lollipop in 2.0, 1.1 and 1.4 times the time of R = 8, and
+# R = 16 in 0.93, 0.94 and 0.74 times it; but R = 16 doubles the lists,
+# puts a path's balls over the cap, and helps only graphs whose search runs
+# past level 16.
+_JUMP_RADIUS = 8
+
+# the ball lists are built only when they hold at most this many times the
+# entries of the closed lists.  The w x 1200/w grids hold 5.3, 7.7 and 10.2
+# times as many at w = 1, 2, 3, and with no cap they jump in 0.54, 0.81
+# and 1.10 of the time of single levels.
+_BALL_CAP = 8
+
+# a value above any distance: unreached pairs start from it when a jump
+# keeps each pair's least candidate
+_ABOVE = np.iinfo(np.int32).max
+
 
 def _bfs_distances(g: Graph) -> np.ndarray:
     """The distance matrix of ``g``, computed afresh.
@@ -203,6 +228,29 @@ def _bfs_distances(g: Graph) -> np.ndarray:
     mask by ``np.flatnonzero`` when a top-down level follows it.  Paths
     and cycles, with two pairs per row and level, stay top-down; on
     dense graphs every level after the first few takes the bitset step.
+
+    A third step, the ball jump, advances R = ``_JUMP_RADIUS`` levels at
+    once.  Once R levels are written, row v of ``dist`` is the ball of
+    radius R around v with each vertex's distance, and one
+    ``np.nonzero`` reads it as the ball list of v: the (w, j) with
+    1 <= j = d(v, w) <= R.  The lists are built once, at level R, and
+    only if that level took the top-down step and they hold at most
+    ``_BALL_CAP`` times the entries of the closed lists.  From then on a
+    level that would take the top-down step jumps instead while the jump
+    gathers at most R times the top-down limit: each pair (s, w) with
+    (w, j) in the ball list of v, for a pair (s, v) at the frontier's
+    distance K, is a candidate at K + j; each UNREACHABLE pair keeps its
+    least candidate (``np.minimum.at`` from a value above any distance),
+    and the pairs at K + R, de-duplicated by tags, are the next
+    frontier.  This is exact.  A shortest s-w path of length K + j,
+    1 <= j <= R, passes a vertex v with d(s, v) = K and d(v, w) = j, so
+    (s, w) has a candidate at d(s, w); and no candidate lies below it,
+    since d(s, w) <= d(s, v) + d(v, w) by the triangle inequality.  No
+    pair beyond K + R has a candidate, and the pairs within K are
+    written already.  Paths, cycles and the tail of a lollipop jump.  A
+    graph whose level R takes the bitset step keeps the single levels:
+    on P9 to P12 and the small tadpoles, building the lists there cost
+    8-20% more than it saved.  A 40 x 40 grid keeps them too.
     """
     n = g.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
@@ -213,42 +261,78 @@ def _bfs_distances(g: Graph) -> np.ndarray:
     v = np.arange(n)
     frontier, count = v * (n + 1), size
     dist.reshape(-1)[frontier] = 0
-    work, balls, level = len(closed), None, 0
+    work, balls, ball_lists, level = len(closed), None, None, 0
     while work:
-        level += 1
         if work <= limit:
             if balls is not None:
                 frontier, balls = np.flatnonzero(mask), None
                 v = frontier % n
                 count = size[v]
-            frontier, v = _top_down_level(dist, frontier, v, count, bounds, closed, level)
+            reach = None if ball_lists is None else ball_lists[0][v]
+            if reach is not None and reach.sum() <= _JUMP_RADIUS * limit:
+                level += _JUMP_RADIUS
+                frontier, v = _top_down(dist, level, frontier, v, reach, *ball_lists[1:])
+            else:
+                level += 1
+                frontier, v = _top_down(dist, level, frontier, v, count, bounds, closed)
             count = size[v]
             work = count.sum()
-            continue
-        if balls is None:
-            balls = _pack(dist >= 0)
-            rows = max(1, _BITSET_BLOCK_WORDS // (int(size.max()) * balls.shape[1]))
-        grown = _bitset_level(balls, closed, bounds, rows)
-        new = np.bitwise_xor(grown, balls, out=balls)
-        balls = grown
-        # the pairs at one distance are symmetric: row counts are column counts
-        work = np.bitwise_count(new).sum(axis=1, dtype=np.intp) @ size
-        if work:
-            mask = np.unpackbits(new.view(np.uint8), axis=1, count=n, bitorder="little")
-            np.copyto(dist, level, where=mask.view(bool))
+        else:
+            level += 1
+            if balls is None:
+                balls = _pack(dist >= 0)
+                rows = max(1, _BITSET_BLOCK_WORDS // (int(size.max()) * balls.shape[1]))
+            grown = _bitset_level(balls, closed, bounds, rows)
+            new = np.bitwise_xor(grown, balls, out=balls)
+            balls = grown
+            # the pairs at one distance are symmetric: row counts are column counts
+            work = np.bitwise_count(new).sum(axis=1, dtype=np.intp) @ size
+            if work:
+                mask = np.unpackbits(new.view(np.uint8), axis=1, count=n, bitorder="little")
+                np.copyto(dist, level, where=mask.view(bool))
+        # the lists are built only after a top-down level R (``balls`` unset)
+        if level == _JUMP_RADIUS and work and balls is None:
+            ball_lists = _ball_lists(dist, len(closed))
     return dist
 
 
-def _top_down_level(dist, frontier, v, count, bounds, closed, level):
+def _ball_lists(dist, closed_entries):
+    """The ball lists of a matrix written up to distance R =
+    ``_JUMP_RADIUS``: their sizes, offsets, vertices and the distances
+    less R, the (w, d(v, w) - R) with d(v, w) >= 1 in row-major order;
+    None when they hold more than ``_BALL_CAP * closed_entries``
+    entries."""
+    inside = dist > 0
+    if np.count_nonzero(inside) > _BALL_CAP * closed_entries:
+        return None
+    owner, lists = np.nonzero(inside)
+    sizes = np.bincount(owner, minlength=len(dist))
+    bounds = np.zeros(len(dist) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=bounds[1:])
+    return sizes, bounds, lists, dist[owner, lists] - _JUMP_RADIUS
+
+
+def _top_down(dist, level, frontier, v, count, bounds, lists, gaps=None):
     """Write ``level`` at the UNREACHABLE pairs (s, w) with w in the list
-    of v for a pair (s, v) of ``frontier`` (flat indices ``s*n + v``;
-    ``count`` the sizes of the lists), and return their flat indices and
-    their columns."""
+    of v (``lists[bounds[v]:bounds[v + 1]]``) for a pair (s, v) of
+    ``frontier`` (flat indices ``s*n + v``; ``count`` the sizes of the
+    lists), and return their flat indices and their columns.
+
+    With ``gaps``, the ball lists of a jump, entry e puts its pair at
+    ``level + gaps[e]``: each pair keeps its least candidate, and only
+    the pairs at ``level`` are returned."""
     flat = dist.reshape(-1)
     ends = np.cumsum(count)
     entry = np.repeat(bounds[1:][v] - ends, count) + np.arange(ends[-1])
-    candidates = np.repeat(frontier - v, count) + closed[entry]
-    candidates = candidates[flat[candidates] == UNREACHABLE]
+    candidates = np.repeat(frontier - v, count) + lists[entry]
+    unreached = flat[candidates] == UNREACHABLE
+    candidates = candidates[unreached]
+    if gaps is not None:
+        flat[candidates] = _ABOVE
+        np.minimum.at(flat, candidates, level + gaps[entry[unreached]])
+        # a pair's candidates lie at or above its distance: those of the
+        # pairs at ``level`` all have gap 0
+        candidates = candidates[flat[candidates] == level]
     tags = np.arange(-2, -2 - len(candidates), -1, dtype=np.int32)
     flat[candidates] = tags
     candidates = candidates[flat[candidates] == tags]
@@ -279,12 +363,16 @@ def _bitset_level(balls, closed, bounds, rows):
 
 
 def diameter(g: Graph) -> int:
+    """The largest distance, read from the distance matrix once and kept
+    on the graph; Disconnected for a disconnected or empty graph."""
     if g.n == 0:
         raise Disconnected("diameter of the empty graph is undefined")
-    dist = all_pairs_distances(g)
-    if (dist == UNREACHABLE).any():
+    if g._diameter is None:
+        dist = all_pairs_distances(g)
+        g._diameter = UNREACHABLE if (dist == UNREACHABLE).any() else int(dist.max())
+    if g._diameter == UNREACHABLE:
         raise Disconnected("graph is disconnected")
-    return int(dist.max())
+    return g._diameter
 
 
 # entries in the largest temporary of one girth block

@@ -133,10 +133,19 @@ DISTANCE_INPUTS = (
 # level to the top-down step
 FORCED_SHARES = (0.0, math.inf)
 
+# ball jump radii forced with no cap on the ball lists: the lists are built
+# at level 1 or 2, and with an infinite share every later level jumps
+FORCED_RADII = (1, 2)
+
+# the kernels as the module defines them, for spies that must not wrap spies
+TOP_DOWN, BITSET_LEVEL = rl.graphcore._top_down, rl.graphcore._bitset_level
+DEFAULT_SHARE = rl.graphcore._TOP_DOWN_SHARE
+
 
 def _assert_distances(g, want, monkeypatch):
     """The kept matrix of g, and the matrices computed with every level
-    forced to one step, all equal ``want``."""
+    forced to one step, or with the jump forced at small radii, all
+    equal ``want``."""
     ours = all_pairs_distances(g)
     assert ours.dtype == np.int32 and ours.shape == (g.n, g.n)
     assert np.array_equal(ours, want)
@@ -144,6 +153,15 @@ def _assert_distances(g, want, monkeypatch):
         monkeypatch.setattr(rl.graphcore, "_TOP_DOWN_SHARE", share)
         forced = rl.graphcore._bfs_distances(g)
         assert forced.dtype == np.int32 and np.array_equal(forced, want), share
+    monkeypatch.setattr(rl.graphcore, "_BALL_CAP", math.inf)
+    for radius in FORCED_RADII:
+        monkeypatch.setattr(rl.graphcore, "_JUMP_RADIUS", radius)
+        for share in (DEFAULT_SHARE, math.inf):
+            monkeypatch.setattr(rl.graphcore, "_TOP_DOWN_SHARE", share)
+            forced, steps = _distances_and_steps(g, monkeypatch)
+            assert forced.dtype == np.int32 and np.array_equal(forced, want), (radius, share)
+            if share == math.inf:
+                assert ("jump" in steps) == (want.max(initial=0) >= radius), steps
 
 
 @pytest.mark.parametrize("make_graph", DISTANCE_INPUTS)
@@ -187,34 +205,41 @@ def test_distances_match_breadth_first_reference(n, edges, monkeypatch):
     _assert_distances(Graph(n, edges), want, monkeypatch)
 
 
-def _steps_taken(g, monkeypatch):
-    """The steps, in order, that computing the distances of g takes; each
-    top-down step must return its frontier without repeats."""
+def _distances_and_steps(g, monkeypatch):
+    """The distances of g, and the steps, in order, that computing them
+    takes; each top-down step and each jump must return its frontier
+    without repeats, every pair of it at the level written."""
     steps = []
-    for name, step in (("_top_down_level", "top-down"), ("_bitset_level", "bitset")):
-        kernel = getattr(rl.graphcore, name)
 
-        def spy(*args, kernel=kernel, step=step):
-            steps.append(step)
-            out = kernel(*args)
-            if step == "top-down":
-                assert len(np.unique(out[0])) == len(out[0])
-            return out
+    def top_down(dist, level, frontier, v, count, bounds, lists, gaps=None):
+        steps.append("top-down" if gaps is None else "jump")
+        out = TOP_DOWN(dist, level, frontier, v, count, bounds, lists, gaps)
+        assert len(np.unique(out[0])) == len(out[0])
+        assert (dist.reshape(-1)[out[0]] == level).all()
+        return out
 
-        monkeypatch.setattr(rl.graphcore, name, spy)
-    rl.graphcore._bfs_distances(g)
-    return steps
+    def bitset_level(*args):
+        steps.append("bitset")
+        return BITSET_LEVEL(*args)
+
+    monkeypatch.setattr(rl.graphcore, "_top_down", top_down)
+    monkeypatch.setattr(rl.graphcore, "_bitset_level", bitset_level)
+    return rl.graphcore._bfs_distances(g), steps
 
 
 def test_each_level_takes_the_step_its_frontier_calls_for(monkeypatch):
-    # a path's levels hold two pairs per row: all top-down, one per level
-    assert _steps_taken(rl.path(600), monkeypatch) == ["top-down"] * 600
-    # an even cycle reaches each antipodal pair from both sides at once
-    assert _steps_taken(rl.cycle(600), monkeypatch) == ["top-down"] * 301
+    # a path's and a cycle's levels hold two pairs per row: R single
+    # top-down levels, then one jump per R levels, the last finding none
+    radius = rl.graphcore._JUMP_RADIUS
+    for g, diam in ((rl.path(600), 599), (rl.cycle(600), 300)):
+        steps = _distances_and_steps(g, monkeypatch)[1]
+        assert steps[:radius] == ["top-down"] * radius
+        assert steps[radius:] == ["jump"] * (len(steps) - radius)
+        assert len(steps) <= radius + math.ceil(diam / radius) + 1
     # the plane's first level already reaches 2m+n pairs
-    assert "bitset" in _steps_taken(rl.projective_plane_incidence(7), monkeypatch)
+    assert "bitset" in _distances_and_steps(rl.projective_plane_incidence(7), monkeypatch)[1]
     # the lollipop turns dense at the clique and sparse again along the tail
-    steps = _steps_taken(_lollipop(), monkeypatch)
+    steps = _distances_and_steps(_lollipop(), monkeypatch)[1]
     assert "top-down" in steps[steps.index("bitset"):]
 
 
@@ -226,6 +251,26 @@ def test_diameter_girth_examples():
     assert girth(Graph(4, [(0, 1), (0, 2), (0, 3)])) is None  # tree
     with pytest.raises(Disconnected):
         diameter(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_diameter_is_kept_on_the_graph(monkeypatch):
+    g, split, empty = rl.cycle(9), Graph(4, [(0, 1), (2, 3)]), Graph(0, [])
+    assert diameter(g) == 4
+    # a graph from trusted rows starts with no diameter kept
+    assert diameter(complement(rl.cycle(5))) == 2
+    for h in (split, empty):
+        with pytest.raises(Disconnected):
+            diameter(h)
+
+    def unread(h):
+        raise AssertionError("distance matrix read again")
+
+    monkeypatch.setattr(rl.graphcore, "all_pairs_distances", unread)
+    assert diameter(g) == 4
+    # the disconnected outcome is kept too, and n = 0 still raises
+    for h in (split, empty):
+        with pytest.raises(Disconnected):
+            diameter(h)
 
 
 def test_girth_more_cases():
