@@ -44,10 +44,12 @@ is shared between them, and reports the child's peak resident set
 (``peak_rss_mb``, from ``ru_maxrss``).  The script prints one JSON line:
 per case the vertex count, the seconds of each step, the search nodes
 spent and a sha256 of the labeling's labels (of the matrix's bytes for
-the distance cases), which must not change from one version of the
-library to the next.  It imports the library from the ``src`` directory
-next to this script.  Run it from anywhere, on every case or on the
-cases named:
+the distance cases).  These must not change from one version of the
+library to the next: ``PINNED`` holds them for the distance cases,
+``k500-700`` and ``w13``, and the script exits with status 1, after the
+JSON line, when a case it ran reports another value.  It imports the
+library from the ``src`` directory next to this script.  Run it from
+anywhere, on every case or on the cases named:
 
     python3 scripts/scale_check.py
     python3 scripts/scale_check.py p600 c1201 lollipop grid40
@@ -86,6 +88,26 @@ TABLE_CASES = {
     "table16": lambda rl: rl.cycle(16),
     "table20": lambda rl: rl.tadpole(10, 10),
 }
+
+# the values a case must report, whatever the version of the library
+PINNED = {
+    "p600": {"matrix_sha256": "576078ae4704b8876ba423c4b0df8456a5723ac66fc0412843266c77abdf72e6"},
+    "c1201": {"matrix_sha256": "3bdc64e344e7cb1e34042dc19781e951da9fb29d92ee48094f91e6b5d1d78929"},
+    "lollipop": {
+        "matrix_sha256": "44711de7deff9f00d4808a145de07128c7a05f68d0ea63429c268b3fed47f934"},
+    "grid40": {"matrix_sha256": "b6daf32bef7e50360a2fd715fe49fe0573a841413b7cd0b5516d4c7eeaf8fa4b"},
+    "k500-700": {
+        "nodes": 1200,
+        "labels_sha256": "26282ba11b2bd91dc2af1d452c2de0adb739a73f592b265c5e2a1c5e6cbbd7aa"},
+    "w13": {
+        "nodes": 4760,
+        "labels_sha256": "0924c9b89fb83d59b641f5a03745b0cf129057a60d949af0cd14c6de78e3de35"},
+}
+
+
+def mismatches(case: str, result: dict) -> list[str]:
+    """The pinned keys of ``case`` whose value in ``result`` differs."""
+    return [key for key, value in PINNED.get(case, {}).items() if result.get(key) != value]
 
 
 def labels_sha256(labels) -> str:
@@ -179,6 +201,10 @@ def main() -> int:
                               text=True, check=True)
         out[case] = json.loads(proc.stdout)
     print(json.dumps(out))
+    wrong = {case: keys for case in out if (keys := mismatches(case, out[case]))}
+    if wrong:
+        print(f"values differ from PINNED: {json.dumps(wrong)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -141,18 +141,23 @@ class Graph:
 # metrics
 
 
+def _words(rows: Sequence[int]) -> np.ndarray:
+    """Bitset rows over ``len(rows)`` vertices as an n x ceil(n/64) array
+    of little-endian uint64 words: vertex v is bit v % 64 of word v // 64."""
+    width = (len(rows) + 63) // 64 * 8
+    return np.frombuffer(
+        b"".join(row.to_bytes(width, "little") for row in rows), dtype="<u8"
+    ).reshape(len(rows), width // 8)
+
+
 def _csr(rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The sizes and the concatenation of the lists of set bits of bitset
     rows over ``len(rows)`` vertices, each list ascending: the set bits of
-    the nonzero bytes of the rows, in row-major order."""
-    n = len(rows)
-    width = (n + 7) // 8
-    packed = np.frombuffer(
-        b"".join(row.to_bytes(width, "little") for row in rows), dtype=np.uint8
-    ).reshape(n, width)
+    the nonzero bytes of the rows' words, in row-major order."""
+    packed = _words(rows).view(np.uint8)
     owner, byte = np.nonzero(packed)
     entry, bit = np.nonzero(np.unpackbits(packed[owner, byte, None], axis=1, bitorder="little"))
-    return np.bincount(owner[entry], minlength=n), byte[entry] * 8 + bit
+    return np.bincount(owner[entry], minlength=len(rows)), byte[entry] * 8 + bit
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -434,25 +439,36 @@ def girth(g: Graph) -> Optional[int]:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum
-    vertex: a depth-first search in which each vertex reached ORs in its
-    bitset row once."""
-    rows = g._rows
-    seen = 0
+    vertex: one :func:`_reach` from the least vertex not yet reached."""
     out = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        seen |= 1 << start
-        comp = [start]
-        stack = [start]
-        while stack:
-            new = rows[stack.pop()] & ~seen
-            seen |= new
-            for v in _bits(new):
-                comp.append(v)
-                stack.append(v)
-        out.append(sorted(comp))
+    left = (1 << g.n) - 1
+    while left:
+        reached = _reach(g._rows, left & -left)[0]
+        out.append(_bits(reached))
+        left ^= reached
     return out
+
+
+def _reach(rows: Sequence[int], start: int, within: int = -1) -> tuple[int, int]:
+    """The vertices a breadth-first search over bitset rows reaches from
+    the vertex set ``start`` inside the vertex set ``within`` (``start``
+    included), and those of them at odd level: one level per step, the
+    OR of the frontier's rows, read directly for a single vertex."""
+    reached = frontier = start
+    odd = level = 0
+    while frontier:
+        if frontier & (frontier - 1):
+            step = 0
+            for v in _bits(frontier):
+                step |= rows[v]
+        else:
+            step = rows[frontier.bit_length() - 1]
+        frontier = step & within & ~reached
+        reached |= frontier
+        level += 1
+        if level & 1:
+            odd |= frontier
+    return reached, odd
 
 
 def antipodal(g: Graph) -> Graph:
@@ -496,41 +512,32 @@ def complement(g: Graph) -> Graph:
 def bipartition(g: Graph) -> Optional[tuple[int, ...]]:
     """A 0/1 two-coloring, or None when an odd cycle exists.
 
-    Each vertex is coloured by the parity of its breadth-first level,
-    searched on bitset frontiers from the least vertex of its component,
-    which is colored 0.  Every edge joins one level or two consecutive
-    ones, so that colouring is proper exactly when no edge joins two
-    vertices of one level.
+    Each vertex is coloured by the parity of its breadth-first level from
+    the least vertex of its component, which is colored 0
+    (:func:`_odd_levels`).
     """
-    seen = odd = 0
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        levels = _odd_levels(g._rows, start)
+    left = (1 << g.n) - 1
+    odd = 0
+    while left:
+        levels = _odd_levels(g._rows, (left & -left).bit_length() - 1)
         if levels is None:
             return None
-        seen |= levels[0]
+        left ^= levels[0]
         odd |= levels[1]
     return tuple(odd >> v & 1 for v in range(g.n))
 
 
 def _odd_levels(rows: Sequence[int], start: int) -> Optional[tuple[int, int]]:
     """The component of ``start`` and its vertices at odd breadth-first
-    level from ``start``, as bitsets over ``rows``; None when an edge
-    joins two vertices of one level, that is when the component has an
-    odd cycle."""
-    seen = odd = 0
-    frontier, level = 1 << start, 0
-    while frontier:
-        seen |= frontier
-        if level & 1:
-            odd |= frontier
-        reached = 0
-        for v in _bits(frontier):
-            if rows[v] & frontier:
-                return None
-            reached |= rows[v]
-        frontier, level = reached & ~seen, level + 1
+    level from ``start`` (:func:`_reach`), as bitsets over ``rows``; None
+    when an edge joins two vertices of one parity.  Every edge joins one
+    level or two consecutive ones, so such an edge joins two vertices of
+    one level: the component has an odd cycle, and otherwise the parity
+    is a proper two-colouring."""
+    seen, odd = _reach(rows, 1 << start)
+    even = seen ^ odd
+    if any(rows[v] & odd for v in _bits(odd)) or any(rows[v] & even for v in _bits(even)):
+        return None
     return seen, odd
 
 

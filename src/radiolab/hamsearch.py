@@ -6,11 +6,11 @@ search space has been exhausted, so callers may treat it as a proof of
 non-existence.  An exhausted node budget yields :data:`TIMEOUT` instead.
 One exact window-ordering search stands behind Hamiltonian paths, cycle
 powers and the span-(n+1) labelings; it returns None and TIMEOUT itself,
-and its callers pass both on.  Hamiltonian paths try a constructive
-rotation-extension path first, then two root rules that prove absence
-without search nodes (more than two degree-one vertices; a vertex whose
-removal leaves three components, found by one lowpoint depth-first
-search).  Every search reads the bitset rows of the ``Graph`` it is
+and its callers pass both on.  Hamiltonian paths first rule out more
+than two degree-one vertices, then try a constructive rotation-extension
+path, then rule out a vertex whose removal leaves three components,
+found by one lowpoint depth-first search; neither rule spends a search
+node.  Every search reads the bitset rows of the ``Graph`` it is
 given; the gracefulness analyzer hands it the antipodal graph.  Results
 are deterministic: the window search tries fewest onward candidates
 first, ties by index.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .budget import TIMEOUT, SearchBudget, as_budget
 from .errors import BadPermutation, PreconditionFailed
-from .graphcore import Graph, _bits
+from .graphcore import Graph, _bits, _reach, _words
 
 __all__ = [
     "PathCertificate",
@@ -74,19 +74,8 @@ def verify_certificate(g: Graph, cert: PathCertificate) -> bool:
 
 def _connected(mask: int, table: Sequence[int]) -> bool:
     """Whether the vertices of ``mask`` induce a connected subgraph of the
-    symmetric relation ``table``: a breadth-first search on bitsets, which
-    reads a single-vertex frontier's row directly."""
-    seen = frontier = mask & -mask
-    while frontier:
-        if frontier & (frontier - 1):
-            reach = 0
-            for v in _bits(frontier):
-                reach |= table[v]
-        else:
-            reach = table[frontier.bit_length() - 1]
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen == mask
+    symmetric relation ``table``."""
+    return _reach(table, mask & -mask, mask)[0] == mask
 
 
 # positions with more candidates than this score them in one numpy batch
@@ -103,9 +92,12 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
     next position empty is skipped.  The tables that tie position k+1 to k
     are ANDed into one bare tie table per distinct set of them, built on
     first use and kept for the search, with the diagonal cleared so that
-    no candidate counts itself.  A candidate's score is the integer
-    ``count << shift | vertex``, where ``shift`` is the bit length of the
-    vertex count, so the least score is the least (count, index).
+    no candidate counts itself.  The AND of no tables, for a position
+    that nothing ties to the next, is every vertex of ``allowed``: a
+    candidate counts the next position's set without itself.  A
+    candidate's score is the integer ``count << shift | vertex``, where
+    ``shift`` is the bit length of the vertex count, so the least score
+    is the least (count, index).
 
     Head first: a position first computes only its least candidate, and
     its frame yields that one alone; a search that never backtracks reads
@@ -146,14 +138,15 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
         chain = next((rows[t] for t in ties[0] if all(t in s for s in ties)), None)
     if chain is not None and not _connected(free, chain):
         return None
+    everyone = free
     shift = free.bit_length().bit_length()
     low = (1 << shift) - 1  # a score's vertex; a score up to ``low`` has count 0
 
     @cache
     def tie_table(s: frozenset) -> list[int]:
-        """The AND of the tables in s, diagonal cleared, built on first
-        use."""
-        first, *rest = (rows[t] for t in s)
+        """The AND of the tables in s (every vertex when s is empty),
+        diagonal cleared, built on first use."""
+        first, *rest = [rows[t] for t in s] or [[everyone] * everyone.bit_length()]
         table = [row & ~(1 << v) for v, row in enumerate(first)]
         for other in rest:
             table = [row & more for row, more in zip(table, other)]
@@ -161,13 +154,8 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
 
     @cache
     def pack(s: frozenset) -> np.ndarray:
-        """Tie table s as an n x words array of little-endian uint64 rows,
-        packed on first use."""
-        table = tie_table(s)
-        width = (len(table) + 63) // 64 * 8
-        return np.frombuffer(
-            b"".join(row.to_bytes(width, "little") for row in table), dtype="<u8"
-        ).reshape(len(table), -1)
+        """Tie table s as little-endian uint64 words, packed on first use."""
+        return _words(tie_table(s))
 
     def scored(k: int, full: bool):
         """Position k's least candidate (None if there is none), or with
@@ -183,11 +171,7 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
         for j, t in constraints[k + 1]:
             if j < k:
                 base &= rows[t][order[j]]
-        if not ties[k]:
-            # nothing ties k+1 to k: a candidate leaves base without itself
-            live = [key for c in _bits(cand)
-                    if (key := (base & ~(1 << c)).bit_count() << shift | c) > low]
-        elif cand.bit_count() > _BATCH_CANDIDATES:
+        if cand.bit_count() > _BATCH_CANDIDATES:
             # the same scores for all candidates at once, on packed rows
             table = pack(ties[k])
             width = table.shape[1] * 8

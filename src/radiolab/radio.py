@@ -113,7 +113,8 @@ class Obstruction:
     ``no-hamiltonian-path`` records that an exhaustive search of the
     antipodal graph found none (valid for diameter 2 and bipartite
     diameter 3, where traceability of the antipodal graph is equivalent
-    to gracefulness).
+    to gracefulness) and the nodes that search spent, not those a shared
+    budget spent before it.
     """
 
     kind: str
@@ -706,6 +707,7 @@ def analyze(
         return graceful("diameter-2-bounded-degree", labeling)
 
     budget = as_budget(deadline)
+    spent = budget.spent  # a shared budget may have been charged before
     result = find_hamiltonian_path(a, budget)
     if isinstance(result, PathCertificate):
         labeling = label_from_antipodal_path(g, result)
@@ -713,7 +715,7 @@ def analyze(
     if result is None:
         return not_graceful(
             "antipodal-not-traceable",
-            Obstruction("no-hamiltonian-path", nodes_searched=budget.spent),
+            Obstruction("no-hamiltonian-path", nodes_searched=budget.spent - spent),
         )
     return AnalysisVerdict(UNKNOWN, "search-budget-exhausted", None, n, None)
 

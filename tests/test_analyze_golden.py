@@ -128,6 +128,17 @@ def test_analyze_verdict(golden, key):
     assert record(key) == golden[key]
 
 
+@pytest.mark.parametrize("key", ["diameter2-0", "random-46"])
+def test_nodes_searched_counts_only_the_path_search(golden, key):
+    # a shared budget charged before analyze: the three-way cut (0 nodes)
+    # and the window search (17 nodes) report their own nodes only
+    budget = rl.SearchBudget()
+    budget.charge(1234)
+    nodes = golden[key]["nodes_searched"]
+    assert rl.analyze(build(key), budget).certificate.nodes_searched == nodes
+    assert budget.spent == 1234 + nodes
+
+
 @pytest.mark.parametrize("key", ["petersen", "pg-3", "erq-5", "mms-5",
                                  "complement-cycle-9", "diameter2-0", "random-124"])
 def test_analyze_reads_one_antipodal_graph(golden, key, monkeypatch):

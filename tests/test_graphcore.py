@@ -21,7 +21,7 @@ from radiolab import (
     moore_bound,
     regularity,
 )
-from radiolab.graphcore import _bits
+from radiolab.graphcore import _bits, _reach
 
 from conftest import (
     atlas_connected,
@@ -507,16 +507,34 @@ def test_moore_bounds():
         moore_bound(0, 2)
 
 
+def check_reach_within(g, h, rng):
+    """``_reach`` from a random vertex inside a random vertex mask of g
+    against networkx on the subgraph of h (g's edges) that the mask
+    induces: the start's component, and its vertices at odd BFS level."""
+    import networkx as nx
+
+    within = sum(1 << v for v in range(g.n) if rng.random() < 0.7)
+    if not within:
+        return
+    start = rng.choice(_bits(within))
+    reached, odd = _reach(g._rows, 1 << start, within)
+    sub = h.subgraph(_bits(within))
+    assert _bits(reached) == sorted(nx.node_connected_component(sub, start))
+    levels = nx.single_source_shortest_path_length(sub, start)
+    assert _bits(odd) == sorted(v for v, level in levels.items() if level % 2)
+
+
 def test_components_match_networkx_on_random_graphs():
     import networkx as nx
 
-    rng = random.Random(2026)
+    rng, masks = random.Random(2026), random.Random(2126)
     for _ in range(200):
         g = random_graph(rng.randint(0, 30), rng.uniform(0.0, 0.2), rng)
         h = nx.Graph(list(g.edges()))
         h.add_nodes_from(range(g.n))
         expected = sorted(sorted(c) for c in nx.connected_components(h))
         assert components(g) == expected
+        check_reach_within(g, h, masks)
 
 
 def _edge_feed(n, p, rng):
@@ -580,12 +598,13 @@ def test_graph_layer_matches_networkx_on_shuffled_duplicated_edges():
 def test_bipartition_matches_networkx_level_parity():
     import networkx as nx
 
-    rng = random.Random(2028)
+    rng, masks = random.Random(2028), random.Random(2128)
     seen = set()
     for _ in range(300):
         n = rng.randint(0, 24)
         _, fed = _edge_feed(n, rng.uniform(0.0, 0.4), rng)
         g, h = Graph(n, fed), _nx_graph(n, fed)
+        check_reach_within(g, h, masks)
         colour = bipartition(g)
         seen.add(colour is None)
         if not nx.is_bipartite(h):

@@ -386,6 +386,33 @@ def test_two_component_searches_match_the_reference(seed, batch, monkeypatch):
     assert backtracks
 
 
+@pytest.mark.parametrize("batch", [0, None])
+def test_positions_with_no_tie_table_match_the_reference(batch, monkeypatch):
+    # the label skipped between the two runs of a span-(n+1) search of
+    # K_{a,b} leaves the last position of the first run with no table
+    # tying it to the next: it scores over every vertex but the candidate,
+    # in the numpy batch at 0, and at the default in a loop unless it has
+    # more than 256 candidates (K_{1,300} with every vertex allowed); the
+    # 300-vertex side takes the batch at the default too
+    if batch is not None:
+        monkeypatch.setattr(rl.hamsearch, "_BATCH_CANDIDATES", batch)
+    for a, b in ((1, 300), (4, 300), (300, 4), (3, 5)):
+        g = rl.complete_bipartite(a, b)
+        n = a + b
+        rows = {2: _bit_rows(rl.all_pairs_distances(g) >= 2)}
+        first, second = (sum(1 << v for v in comp) for comp in components(antipodal(g)))
+        label = list(range(1, a + 1)) + list(range(a + 2, n + 2))
+        constraints = [[(j, 3 - label[k] + label[j])
+                        for j in range(max(0, k - 2), k) if label[k] - label[j] < 2]
+                       for k in range(n)]
+        assert constraints[a] == []
+        for allowed in ([first] * a + [second] * b, [(1 << n) - 1] * n):
+            instance = rows, constraints, allowed
+            got = _traced_run(_window_ordering, instance, 5000)
+            assert got[0] is not None and got[0] is not TIMEOUT
+            assert got == _traced_run(_window_ordering_full_bfs, instance, 5000)
+
+
 def test_cycle_power_constraints_match_the_full_expression():
     # windows for every position, wrap-around pairs for the last ``power``
     for n in range(3, 31):
