@@ -26,6 +26,9 @@
   vertices, diameter 78), a high-diameter graph whose search keeps single
   levels: its level 8 takes the bitset step, and its balls of radius 8
   hold about 25 times the closed neighbourhoods;
+- ``pg23``: ``all_pairs_distances`` of ``projective_plane_incidence(23)``
+  (1,106 vertices, diameter 3), a dense graph whose levels 2 and 3 both
+  take the bitset step;
 - ``singer32``: ``singer_label_erq(32)`` and
   ``singer_label_erq_complement(32)`` (1,057 vertices), the Singer walk
   labelings of the largest polarity graph timed here, each verified.
@@ -52,7 +55,7 @@ library from the ``src`` directory next to this script.  Run it from
 anywhere, on every case or on the cases named:
 
     python3 scripts/scale_check.py
-    python3 scripts/scale_check.py p600 c1201 lollipop grid40
+    python3 scripts/scale_check.py p600 c1201 lollipop grid40 pg23
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 CASES = ("w13", "pg49", "k500-700", "c13", "c15", "tadpole66", "p200", "k25", "p600",
-         "c1201", "lollipop", "grid40", "singer32", "table16", "table20")
+         "c1201", "lollipop", "grid40", "pg23", "singer32", "table16", "table20")
 ORACLE_CASES = {
     "c13": lambda rl: rl.cycle(13),
     "c15": lambda rl: rl.cycle(15),
@@ -83,6 +86,7 @@ DISTANCE_CASES = {
                                     + [(v, v + 1) for v in range(299, 899)]),
     "grid40": lambda rl: rl.Graph(1600, [(v, v + 1) for v in range(1600) if v % 40 != 39]
                                   + [(v, v + 40) for v in range(1560)]),
+    "pg23": lambda rl: rl.projective_plane_incidence(23),
 }
 TABLE_CASES = {
     "table16": lambda rl: rl.cycle(16),
@@ -96,6 +100,7 @@ PINNED = {
     "lollipop": {
         "matrix_sha256": "44711de7deff9f00d4808a145de07128c7a05f68d0ea63429c268b3fed47f934"},
     "grid40": {"matrix_sha256": "b6daf32bef7e50360a2fd715fe49fe0573a841413b7cd0b5516d4c7eeaf8fa4b"},
+    "pg23": {"matrix_sha256": "a175ddc2fd20642ba50ec30ff898e0cbf5a454a40036d8b31a44329a1aaa3e89"},
     "k500-700": {
         "nodes": 1200,
         "labels_sha256": "26282ba11b2bd91dc2af1d452c2de0adb739a73f592b265c5e2a1c5e6cbbd7aa"},

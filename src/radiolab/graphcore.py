@@ -46,8 +46,10 @@ class Graph:
     search: ``_rows[v]`` is a Python int whose bit w is set when w is a
     neighbour of v.  Rows take up to n²/8 bytes, 1/32 of the int32
     distance matrix every analysis builds; the search that builds it also
-    holds an n x n byte mask, bitsets the size of the rows and a bitset
-    gather of at most 8 MB, so the rows are a small share of the peak.
+    holds an n x n byte mask, bitsets the size of the rows and one bitset
+    gather of at most 512 KB (the columns of a block of rows, or a block
+    of the longer lists' remaining entries; a single list when it alone
+    is larger), so the rows are a small share of the peak.
     A search that jumps (see ``_bfs_distances``) also holds ball lists of
     at most 8(2m+n) entries of 12 bytes, and one jump gathers at most 8
     times the top-down limit, 2.8(2m+n)·ceil(n/64) entries.  But a
@@ -152,12 +154,14 @@ def _words(rows: Sequence[int]) -> np.ndarray:
 
 def _csr(rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The sizes and the concatenation of the lists of set bits of bitset
-    rows over ``len(rows)`` vertices, each list ascending: the set bits of
-    the nonzero bytes of the rows' words, in row-major order."""
-    packed = _words(rows).view(np.uint8)
-    owner, byte = np.nonzero(packed)
-    entry, bit = np.nonzero(np.unpackbits(packed[owner, byte, None], axis=1, bitorder="little"))
-    return np.bincount(owner[entry], minlength=len(rows)), byte[entry] * 8 + bit
+    rows over ``len(rows)`` vertices, each list ascending: the sizes are
+    the rows' bit counts, the lists the flat indices of the rows'
+    unpacked bool mask, modulo n."""
+    n = len(rows)
+    words = _words(rows)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+    return (np.bitwise_count(words).sum(axis=1, dtype=np.intp),
+            np.flatnonzero(bits.view(bool)) % n)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -176,11 +180,18 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 # a level whose top-down step would gather more entries than this share of
 # the words one bitset step gathers takes the bitset step.  Paths need more
 # than 128/n to stay top-down (0.21 at n = 600), and the second level of
-# W(8), at 0.49, is faster by bitset; 0.3 to 0.35 is best on both sides.
+# W(8), at 0.49, is faster by bitset.  Re-scanned with the column step: at
+# shares of 0.2 to 0.4, P600, C601, PG(2,13..23), W(5..8) and ER(23) each
+# take within 10% of their best time, P600 and C601 take 4.5-5 times it at
+# 0.1, and W(8) 1.33 times it at 0.5.
 _TOP_DOWN_SHARE = 0.35
 
-# words of balls that one block of a bitset step gathers at most
-_BITSET_BLOCK_WORDS = 1 << 20
+# words of balls that one block of a bitset step gathers at most.  A
+# block of 2**16 words (512 KB) keeps its gather and its new rows in a
+# core's 2 MB L2 cache (a 2-core Xeon): a bitset level of PG(2,49) takes
+# 12 ms at 2**15 or 2**16 and 17-18 ms at 2**18 or 2**20, and PG(2,23) and
+# W(8) take their least time at 2**15 to 2**16.
+_BITSET_BLOCK_WORDS = 1 << 16
 
 # levels one ball jump advances.  With no cap, R = 4 takes P600, C1201 and
 # the 900-vertex lollipop in 2.0, 1.1 and 1.4 times the time of R = 8, and
@@ -207,7 +218,9 @@ def _bfs_distances(g: Graph) -> np.ndarray:
     level per step, over closed neighbourhoods: the list of v holds v
     and its neighbours, so no list is empty (``reduceat`` would return
     the element at the start of an empty segment instead of nothing).
-    Each level takes one of two steps:
+    Levels 0 and 1 are read straight from the lists: one scatter writes
+    1 at ``s*n + w`` for every w in the list of s, and the diagonal is
+    then rewritten as 0.  Each later level takes one of two steps:
 
     - top-down: the frontier is the list of flat indices ``s*n + v`` of
       the pairs at the last distance k, and each pair (s, w) with w in
@@ -218,86 +231,114 @@ def _bfs_distances(g: Graph) -> np.ndarray:
     - bitset: row s of ``balls`` is the ball of radius k around s,
       bit-packed into uint64 words (vertex v is bit v % 64 of word
       v // 64), and the ball of radius k+1 is the OR of the balls in the
-      list of s: one ``bitwise_or.reduceat`` per block of
-      ``max(1, 2**20 // (s * ceil(n/64)))`` rows, s the longest list, so
-      that a block gathers at most 2**20 words or one list.  The new bits
-      are unpacked whole into an n x n mask (little-endian words, so the
-      ``uint8`` view puts vertex v at bit v of its row) and written in
-      one go.
+      list of s.  With c the median list length, entry j of every list,
+      for each j < c, makes one column, a list shorter than c repeating
+      its last entry (an OR takes a ball twice as it takes it once).  A
+      block of ``max(1, 2**16 // (c * ceil(n/64)))`` rows gathers the
+      balls of all its columns into one buffer, and
+      ``bitwise_or.reduce`` ORs them, one column after another, into the
+      block's new balls.  The entries past c, in the longer lists only,
+      go through one ``bitwise_or.reduceat`` per block of
+      ``max(1, 2**16 // (t * ceil(n/64)))`` of those lists, t the
+      longest such remainder.  No gather holds more than 2**16 words, or
+      one list.  A regular graph has no remainder at all, and stars and
+      lollipops, whose median list is short, take most of their step
+      there.  The new bits are unpacked whole into an n x n mask
+      (little-endian words, so the ``uint8`` view puts vertex v at bit v
+      of its row) and written in one go.
 
     A top-down step gathers the list sizes of its frontier's columns, a
-    bitset step (2m+n) * ceil(n/64) words.  A level whose top-down step
-    would gather more than ``_TOP_DOWN_SHARE`` of the bitset step's words
-    takes the bitset step: ``balls`` is packed from ``dist >= 0`` when
-    it follows a top-down level, and the frontier is read back from the
-    mask by ``np.flatnonzero`` when a top-down level follows it.  Paths
-    and cycles, with two pairs per row and level, stay top-down; on
-    dense graphs every level after the first few takes the bitset step.
+    bitset step about (2m+n) * ceil(n/64) words.  A level whose top-down
+    step would gather more than ``_TOP_DOWN_SHARE`` of the bitset step's
+    words takes the bitset step: ``balls`` is packed from ``dist >= 0``
+    when it follows a top-down level, and the frontier is read back from
+    the mask's bool view by ``np.flatnonzero`` when a top-down level
+    follows it.  Paths and cycles, with two pairs per row and level,
+    stay top-down; on dense graphs every level after the first takes
+    the bitset step.
+
+    Every step counts the pairs it writes, and the search stops once no
+    pair is left UNREACHABLE: a connected graph ends with the level that
+    writes its last pair, and no step runs after it.  A disconnected
+    graph ends after the first level that finds nothing.
 
     A third step, the ball jump, advances R = ``_JUMP_RADIUS`` levels at
     once.  Once R levels are written, row v of ``dist`` is the ball of
     radius R around v with each vertex's distance, and one
-    ``np.nonzero`` reads it as the ball list of v: the (w, j) with
+    ``np.flatnonzero`` reads it as the ball list of v: the (w, j) with
     1 <= j = d(v, w) <= R.  The lists are built once, at level R, and
-    only if that level took the top-down step and they hold at most
-    ``_BALL_CAP`` times the entries of the closed lists.  From then on a
-    level that would take the top-down step jumps instead while the jump
-    gathers at most R times the top-down limit: each pair (s, w) with
-    (w, j) in the ball list of v, for a pair (s, v) at the frontier's
-    distance K, is a candidate at K + j; each UNREACHABLE pair keeps its
-    least candidate (``np.minimum.at`` from a value above any distance),
-    and the pairs at K + R, de-duplicated by tags, are the next
-    frontier.  This is exact.  A shortest s-w path of length K + j,
-    1 <= j <= R, passes a vertex v with d(s, v) = K and d(v, w) = j, so
-    (s, w) has a candidate at d(s, w); and no candidate lies below it,
-    since d(s, w) <= d(s, v) + d(v, w) by the triangle inequality.  No
-    pair beyond K + R has a candidate, and the pairs within K are
-    written already.  Paths, cycles and the tail of a lollipop jump.  A
-    graph whose level R takes the bitset step keeps the single levels:
-    on P9 to P12 and the small tadpoles, building the lists there cost
-    8-20% more than it saved.  A 40 x 40 grid keeps them too.
+    only if that level did not take the bitset step and they hold at
+    most ``_BALL_CAP`` times the entries of the closed lists.  From then
+    on a level that would take the top-down step jumps instead while the
+    jump gathers at most R times the top-down limit: each pair (s, w)
+    with (w, j) in the ball list of v, for a pair (s, v) at the
+    frontier's distance K, is a candidate at K + j.  The UNREACHABLE
+    candidates are de-duplicated by tags, which counts the pairs the
+    jump writes; when no pair has two, each is written directly, and
+    otherwise each keeps its least (``np.minimum.at`` from a value above
+    any distance).  The pairs at K + R are the next frontier.  This is
+    exact.  A shortest s-w path of length K + j, 1 <= j <= R, passes
+    a vertex v with d(s, v) = K and d(v, w) = j, so (s, w) has a
+    candidate at d(s, w); and no candidate lies below it, since
+    d(s, w) <= d(s, v) + d(v, w) by the triangle inequality.  No pair
+    beyond K + R has a candidate, and the pairs within K are written
+    already.  Paths, cycles and the tail of a lollipop jump.  A graph
+    whose level R takes the bitset step keeps the single levels: on P9
+    to P12 and the small tadpoles, building the lists there cost 8-20%
+    more than it saved.  A 40 x 40 grid keeps them too.
     """
     n = g.n
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
     size, closed = _csr([row | 1 << v for v, row in enumerate(g._rows)])
+    dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
     bounds = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(size, out=bounds[1:])
     limit = _TOP_DOWN_SHARE * len(closed) * ((n + 63) // 64)
-    v = np.arange(n)
-    frontier, count = v * (n + 1), size
-    dist.reshape(-1)[frontier] = 0
-    work, balls, ball_lists, level = len(closed), None, None, 0
-    while work:
+    owner = np.repeat(np.arange(n), size)
+    near = owner * n + closed
+    dist.reshape(-1)[near] = 1
+    np.fill_diagonal(dist, 0)
+    # the pairs at distance 1 in column v are the neighbours of v
+    work, left, level = (size - 1) @ size, n * n - len(closed), 1
+    frontier = balls = plan = ball_lists = None
+    while work and left:
+        # the lists are built only at a level R that no bitset step wrote
+        if level == _JUMP_RADIUS and balls is None:
+            ball_lists = _ball_lists(dist, len(closed))
         if work <= limit:
-            if balls is not None:
-                frontier, balls = np.flatnonzero(mask), None
-                v = frontier % n
+            if frontier is None:
+                # read from level 1's scatter, or from the last bitset level
+                frontier = (near[owner != closed] if balls is None
+                            else np.flatnonzero(mask.view(bool)))
+                v, balls = frontier % n, None
                 count = size[v]
             reach = None if ball_lists is None else ball_lists[0][v]
             if reach is not None and reach.sum() <= _JUMP_RADIUS * limit:
                 level += _JUMP_RADIUS
-                frontier, v = _top_down(dist, level, frontier, v, reach, *ball_lists[1:])
+                frontier, v, written = _top_down(dist, level, frontier, v, reach,
+                                                 *ball_lists[1:])
             else:
                 level += 1
-                frontier, v = _top_down(dist, level, frontier, v, count, bounds, closed)
+                frontier, v, written = _top_down(dist, level, frontier, v, count, bounds,
+                                                 closed)
             count = size[v]
             work = count.sum()
         else:
             level += 1
             if balls is None:
                 balls = _pack(dist >= 0)
-                rows = max(1, _BITSET_BLOCK_WORDS // (int(size.max()) * balls.shape[1]))
-            grown = _bitset_level(balls, closed, bounds, rows)
+                if plan is None:
+                    plan = _bitset_plan(size, closed, bounds, balls.shape[1])
+            frontier = None
+            grown = _bitset_level(balls, *plan)
             new = np.bitwise_xor(grown, balls, out=balls)
             balls = grown
+            found = np.bitwise_count(new).sum(axis=1, dtype=np.intp)
             # the pairs at one distance are symmetric: row counts are column counts
-            work = np.bitwise_count(new).sum(axis=1, dtype=np.intp) @ size
-            if work:
+            written, work = found.sum(), found @ size
+            if written:
                 mask = np.unpackbits(new.view(np.uint8), axis=1, count=n, bitorder="little")
                 np.copyto(dist, level, where=mask.view(bool))
-        # the lists are built only after a top-down level R (``balls`` unset)
-        if level == _JUMP_RADIUS and work and balls is None:
-            ball_lists = _ball_lists(dist, len(closed))
+        left -= written
     return dist
 
 
@@ -310,39 +351,49 @@ def _ball_lists(dist, closed_entries):
     inside = dist > 0
     if np.count_nonzero(inside) > _BALL_CAP * closed_entries:
         return None
-    owner, lists = np.nonzero(inside)
+    flat = np.flatnonzero(inside)
+    owner, lists = np.divmod(flat, len(dist))
     sizes = np.bincount(owner, minlength=len(dist))
     bounds = np.zeros(len(dist) + 1, dtype=np.intp)
     np.cumsum(sizes, out=bounds[1:])
-    return sizes, bounds, lists, dist[owner, lists] - _JUMP_RADIUS
+    return sizes, bounds, lists, dist.reshape(-1)[flat] - _JUMP_RADIUS
 
 
 def _top_down(dist, level, frontier, v, count, bounds, lists, gaps=None):
     """Write ``level`` at the UNREACHABLE pairs (s, w) with w in the list
     of v (``lists[bounds[v]:bounds[v + 1]]``) for a pair (s, v) of
     ``frontier`` (flat indices ``s*n + v``; ``count`` the sizes of the
-    lists), and return their flat indices and their columns.
+    lists), and return their flat indices, their columns and how many
+    pairs were written.
 
     With ``gaps``, the ball lists of a jump, entry e puts its pair at
     ``level + gaps[e]``: each pair keeps its least candidate, and only
-    the pairs at ``level`` are returned."""
+    the pairs at ``level`` are returned, while the count takes in every
+    pair written."""
     flat = dist.reshape(-1)
     ends = np.cumsum(count)
     entry = np.repeat(bounds[1:][v] - ends, count) + np.arange(ends[-1])
     candidates = np.repeat(frontier - v, count) + lists[entry]
     unreached = flat[candidates] == UNREACHABLE
     candidates = candidates[unreached]
-    if gaps is not None:
-        flat[candidates] = _ABOVE
-        np.minimum.at(flat, candidates, level + gaps[entry[unreached]])
-        # a pair's candidates lie at or above its distance: those of the
-        # pairs at ``level`` all have gap 0
-        candidates = candidates[flat[candidates] == level]
     tags = np.arange(-2, -2 - len(candidates), -1, dtype=np.int32)
     flat[candidates] = tags
-    candidates = candidates[flat[candidates] == tags]
-    flat[candidates] = level
-    return candidates, candidates % len(dist)
+    pairs = candidates[flat[candidates] == tags]
+    if gaps is None:
+        flat[pairs] = level
+        return pairs, pairs % len(dist), len(pairs)
+    gaps = gaps[entry[unreached]]
+    if len(pairs) == len(candidates):
+        # one candidate per pair: its distance
+        flat[pairs] = level + gaps
+        last = pairs[gaps == 0]
+    else:
+        flat[pairs] = _ABOVE
+        np.minimum.at(flat, candidates, level + gaps)
+        # a pair's candidates lie at or above its distance: those of the
+        # pairs at ``level`` all have gap 0
+        last = pairs[flat[pairs] == level]
+    return last, last % len(dist), len(pairs)
 
 
 def _pack(member: np.ndarray) -> np.ndarray:
@@ -353,17 +404,62 @@ def _pack(member: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
-def _bitset_level(balls, closed, bounds, rows):
+def _bitset_plan(size, closed, bounds, width):
+    """The gathers of a bitset step over balls of ``width`` words, laid
+    out once per search from the lists (sizes ``size``, offsets
+    ``bounds``, entries ``closed``).  The heads: for each block of rows,
+    entry j of their lists for each j below c, the median list length,
+    one column per j, a shorter list repeating its last entry.  The
+    tails: for each block of the longer lists, their rows, their entries
+    past c and the offsets of those in the block, for ``reduceat``.  No
+    block gathers more than ``_BITSET_BLOCK_WORDS`` words, or one
+    list."""
+    n = len(size)
+    if size.min() == size.max():
+        # a regular graph's lists are its columns, with nothing left over
+        c, longer = int(size[0]), ()
+        columns = np.ascontiguousarray(closed.reshape(n, c).T)
+    else:
+        # the least length that more than half the lists do not exceed
+        c = int(np.searchsorted(np.cumsum(np.bincount(size)), n // 2, side="right"))
+        columns = closed[np.minimum(bounds[:-1] + np.arange(c)[:, None], bounds[1:] - 1)]
+        longer = np.flatnonzero(size > c)
+    rows = max(1, _BITSET_BLOCK_WORDS // (c * width))
+    heads = [columns[:, first:first + rows] for first in range(0, n, rows)]
+    if not len(longer):
+        return heads, []
+    extra = size[longer] - c
+    ends = np.cumsum(extra)
+    starts = ends - extra
+    rest = closed[np.repeat(bounds[longer] + c - starts, extra) + np.arange(ends[-1])]
+    rows = max(1, _BITSET_BLOCK_WORDS // (int(extra.max()) * width))
+    tails = [(longer[first:first + rows],
+              rest[starts[first]:ends[min(first + rows, len(longer)) - 1]],
+              starts[first:first + rows] - starts[first])
+             for first in range(0, len(longer), rows)]
+    return heads, tails
+
+
+def _bitset_level(balls, heads, tails):
     """The balls one level wider: row s is the OR of the rows of ``balls``
-    in the list of s (``closed[bounds[s]:bounds[s + 1]]``), gathered for
-    ``rows`` rows at a time."""
-    n = len(balls)
+    in the list of s, gathered as :func:`_bitset_plan` lays out.  A head
+    block's columns are gathered together into one reused buffer and
+    ORed one column after another by ``bitwise_or.reduce`` into the
+    block's new rows; then each tail block's entries are ORed by one
+    ``reduceat`` into the rows of its lists."""
+    width = balls.shape[1]
     grown = np.empty_like(balls)
-    for first in range(0, n, rows):
-        last = min(first + rows, n)
-        np.bitwise_or.reduceat(balls[closed[bounds[first]:bounds[last]]],
-                               bounds[first:last] - bounds[first], axis=0,
-                               out=grown[first:last])
+    gathered = np.empty(heads[0].size * width, dtype=balls.dtype)
+    first = 0
+    for block in heads:
+        part = gathered[:block.size * width].reshape(*block.shape, width)
+        # the indices are valid; "clip" lets ``take`` write straight into
+        # ``part``, where "raise" would gather into a buffer first
+        balls.take(block, axis=0, out=part, mode="clip")
+        np.bitwise_or.reduce(part, axis=0, out=grown[first:first + block.shape[1]])
+        first += block.shape[1]
+    for rows, entries, starts in tails:
+        grown[rows] |= np.bitwise_or.reduceat(balls[entries], starts, axis=0)
     return grown
 
 

@@ -74,8 +74,13 @@ def verify_certificate(g: Graph, cert: PathCertificate) -> bool:
 
 def _connected(mask: int, table: Sequence[int]) -> bool:
     """Whether the vertices of ``mask`` induce a connected subgraph of the
-    symmetric relation ``table``."""
-    return _reach(table, mask & -mask, mask)[0] == mask
+    symmetric relation ``table``; read directly from the least vertex's
+    row when ``mask`` holds at most two vertices."""
+    low = mask & -mask
+    rest = mask ^ low
+    if not rest & (rest - 1):
+        return not rest or bool(table[low.bit_length() - 1] & rest)
+    return _reach(table, low, mask)[0] == mask
 
 
 # positions with more candidates than this score them in one numpy batch
@@ -177,7 +182,7 @@ def _window_ordering(rows, constraints, allowed, budget: SearchBudget):
             width = table.shape[1] * 8
             cs = np.flatnonzero(np.unpackbits(
                 np.frombuffer(cand.to_bytes(width, "little"), dtype=np.uint8),
-                bitorder="little"))
+                bitorder="little").view(bool))
             onward = np.frombuffer(base.to_bytes(width, "little"), dtype="<u8") & table[cs]
             keys = np.bitwise_count(onward).sum(axis=1, dtype=np.int64) << shift | cs
             keys = keys[keys > low]

@@ -161,7 +161,10 @@ def _assert_distances(g, want, monkeypatch):
             forced, steps = _distances_and_steps(g, monkeypatch)
             assert forced.dtype == np.int32 and np.array_equal(forced, want), (radius, share)
             if share == math.inf:
-                assert ("jump" in steps) == (want.max(initial=0) >= radius), steps
+                # a jump runs when a level past R is left to write, or, in a
+                # disconnected graph, to find that level R was the last
+                connected = not (want == UNREACHABLE).any()
+                assert ("jump" in steps) == (want.max(initial=0) >= radius + connected), steps
 
 
 @pytest.mark.parametrize("make_graph", DISTANCE_INPUTS)
@@ -207,20 +210,26 @@ def test_distances_match_breadth_first_reference(n, edges, monkeypatch):
 
 def _distances_and_steps(g, monkeypatch):
     """The distances of g, and the steps, in order, that computing them
-    takes; each top-down step and each jump must return its frontier
-    without repeats, every pair of it at the level written."""
+    takes.  No step may start once every pair is written; each top-down
+    step and each jump must return its frontier without repeats, every
+    pair of it at the level written, and count every pair it wrote."""
     steps = []
 
     def top_down(dist, level, frontier, v, count, bounds, lists, gaps=None):
         steps.append("top-down" if gaps is None else "jump")
+        unwritten = np.count_nonzero(dist == UNREACHABLE)
+        assert unwritten
         out = TOP_DOWN(dist, level, frontier, v, count, bounds, lists, gaps)
         assert len(np.unique(out[0])) == len(out[0])
         assert (dist.reshape(-1)[out[0]] == level).all()
+        assert out[2] == unwritten - np.count_nonzero(dist == UNREACHABLE)
         return out
 
-    def bitset_level(*args):
+    def bitset_level(balls, *plan):
         steps.append("bitset")
-        return BITSET_LEVEL(*args)
+        # ``balls`` holds a bit for every pair written so far
+        assert np.bitwise_count(balls).sum() < len(balls) ** 2
+        return BITSET_LEVEL(balls, *plan)
 
     monkeypatch.setattr(rl.graphcore, "_top_down", top_down)
     monkeypatch.setattr(rl.graphcore, "_bitset_level", bitset_level)
@@ -228,19 +237,75 @@ def _distances_and_steps(g, monkeypatch):
 
 
 def test_each_level_takes_the_step_its_frontier_calls_for(monkeypatch):
-    # a path's and a cycle's levels hold two pairs per row: R single
-    # top-down levels, then one jump per R levels, the last finding none
+    # level 1 comes from the lists.  A path's and a cycle's levels hold two
+    # pairs per row: levels 2 to R top-down, then one jump per R levels, and
+    # none after the one that writes the last pair, even when that jump's
+    # own level is not empty (P601 and C592 end at a multiple of R)
     radius = rl.graphcore._JUMP_RADIUS
-    for g, diam in ((rl.path(600), 599), (rl.cycle(600), 300)):
+    for g, diam in ((rl.path(600), 599), (rl.path(601), 600),
+                    (rl.cycle(600), 300), (rl.cycle(592), 296)):
         steps = _distances_and_steps(g, monkeypatch)[1]
-        assert steps[:radius] == ["top-down"] * radius
-        assert steps[radius:] == ["jump"] * (len(steps) - radius)
-        assert len(steps) <= radius + math.ceil(diam / radius) + 1
-    # the plane's first level already reaches 2m+n pairs
-    assert "bitset" in _distances_and_steps(rl.projective_plane_incidence(7), monkeypatch)[1]
+        assert steps == ["top-down"] * (radius - 1) + ["jump"] * math.ceil(diam / radius - 1)
+    # the plane's levels 2 and 3 reach 2m+n pairs per row each, and level 3
+    # is its last
+    assert _distances_and_steps(rl.projective_plane_incidence(7), monkeypatch)[1] == [
+        "bitset", "bitset"]
     # the lollipop turns dense at the clique and sparse again along the tail
     steps = _distances_and_steps(_lollipop(), monkeypatch)[1]
     assert "top-down" in steps[steps.index("bitset"):]
+    # a disconnected graph stops at the first level that finds nothing: its
+    # level 2 writes (0, 2) and (2, 0), and level 3 finds nothing
+    assert len(_distances_and_steps(Graph(6, [(0, 1), (1, 2), (3, 4)]), monkeypatch)[1]) == 2
+
+
+def _wide_spread_graph(seed):
+    # three hubs joined to a quarter to a half of a sparse random graph:
+    # closed lists from 1 to about n/2 + 3 entries
+    rng = random.Random(f"spread-{seed}")
+    n = rng.randint(70, 200)
+    edges = set(random_graph(n, 1.5 / n, rng).edges())
+    for hub in rng.sample(range(n), 3):
+        edges.update((min(hub, v), max(hub, v))
+                     for v in rng.sample(range(n), rng.randint(n // 4, n // 2)) if v != hub)
+    return n, sorted(edges)
+
+
+# the bitset step ORs its columns (entry j of every list, short lists
+# padded) and hands the longer lists' remaining entries to ``reduceat``:
+# these inputs have one list far longer than the rest, a dense block
+# before a tail, and lists of many lengths
+COLUMN_INPUTS = (
+    [pytest.param(301, [(0, v) for v in range(1, 301)], id="star300"),
+     pytest.param(140, list(_lollipop().edges()), id="lollipop")]
+    + [pytest.param(*_wide_spread_graph(seed), id=f"spread{seed}") for seed in range(6)]
+)
+
+
+@pytest.mark.parametrize("block", [1, 64, rl.graphcore._BITSET_BLOCK_WORDS])
+@pytest.mark.parametrize("n, edges", COLUMN_INPUTS)
+def test_bitset_step_matches_breadth_first_reference_in_every_block_size(n, edges, block,
+                                                                        monkeypatch):
+    monkeypatch.setattr(rl.graphcore, "_BITSET_BLOCK_WORDS", block)
+    monkeypatch.setattr(rl.graphcore, "_TOP_DOWN_SHARE", 0.0)
+    want = np.array(bfs_distances(n, edges), dtype=np.int32).reshape(n, n)
+    assert np.array_equal(rl.graphcore._bfs_distances(Graph(n, edges)), want)
+
+
+@pytest.mark.parametrize("block", [1, 64, 1 << 10, rl.graphcore._BITSET_BLOCK_WORDS])
+def test_no_bitset_gather_holds_more_than_a_block(block, monkeypatch):
+    # or one list, when a single list is longer than the block
+    monkeypatch.setattr(rl.graphcore, "_BITSET_BLOCK_WORDS", block)
+    graphs = [Graph(*param.values) for param in COLUMN_INPUTS]
+    for g in graphs + [rl.projective_plane_incidence(23)]:
+        size, closed = rl.graphcore._csr([row | 1 << v for v, row in enumerate(g._rows)])
+        bounds = np.concatenate(([0], np.cumsum(size)))
+        width = (g.n + 63) // 64
+        heads, tails = rl.graphcore._bitset_plan(size, closed, bounds, width)
+        assert np.concatenate([h[0] for h in heads]).shape == (g.n,)
+        for h in heads:
+            assert h.size * width <= block or h.shape[1] == 1
+        for rows, entries, starts in tails:
+            assert len(entries) * width <= block or len(rows) == 1
 
 
 def test_diameter_girth_examples():

@@ -12,7 +12,7 @@ scale_check = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(scale_check)
 
 
-@pytest.mark.parametrize("case", ["p600", "c1201", "lollipop", "grid40", "k500-700"])
+@pytest.mark.parametrize("case", ["p600", "c1201", "lollipop", "grid40", "pg23", "k500-700"])
 def test_case_reports_its_pinned_values(case):
     result = scale_check.run_case(case)
     assert scale_check.PINNED[case]
