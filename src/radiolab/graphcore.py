@@ -415,15 +415,10 @@ def _bitset_plan(size, closed, bounds, width):
     block gathers more than ``_BITSET_BLOCK_WORDS`` words, or one
     list."""
     n = len(size)
-    if size.min() == size.max():
-        # a regular graph's lists are its columns, with nothing left over
-        c, longer = int(size[0]), ()
-        columns = np.ascontiguousarray(closed.reshape(n, c).T)
-    else:
-        # the least length that more than half the lists do not exceed
-        c = int(np.searchsorted(np.cumsum(np.bincount(size)), n // 2, side="right"))
-        columns = closed[np.minimum(bounds[:-1] + np.arange(c)[:, None], bounds[1:] - 1)]
-        longer = np.flatnonzero(size > c)
+    # the least length that more than half the lists do not exceed
+    c = int(np.searchsorted(np.cumsum(np.bincount(size)), n // 2, side="right"))
+    columns = closed[np.minimum(bounds[:-1] + np.arange(c)[:, None], bounds[1:] - 1)]
+    longer = np.flatnonzero(size > c)
     rows = max(1, _BITSET_BLOCK_WORDS // (c * width))
     heads = [columns[:, first:first + rows] for first in range(0, n, rows)]
     if not len(longer):
