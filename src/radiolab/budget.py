@@ -38,10 +38,6 @@ class _Timeout:
 TIMEOUT = _Timeout()
 
 
-class BudgetExhausted(Exception):
-    """Unwinds the exact oracle's recursion; radio_number_exact returns TIMEOUT."""
-
-
 class SearchBudget:
     """Mutable countdown of search-tree nodes.
 

@@ -103,9 +103,14 @@ FAMILIES = {
         families.mms_graph,
         "vertex s*q^2 + a*q + b encodes (s,a,b) in Z2 x Fq x Fq",
     ),
-    "cage-3-8": (0, lambda: families.builtin_graph("cage-3-8"), "bundled data file"),
-    "cage-4-8": (0, lambda: families.builtin_graph("cage-4-8"), "bundled data file"),
-    "cage-3-12": (0, lambda: families.builtin_graph("cage-3-12"), "bundled data file"),
+    "cage-3-8": (0, lambda: families.builtin_graph("cage-3-8"), "as gq-incidence 2"),
+    "cage-4-8": (0, lambda: families.builtin_graph("cage-4-8"), "as gq-incidence 3"),
+    "cage-3-12": (
+        0,
+        lambda: families.builtin_graph("cage-3-12"),
+        "cycle 0..125 plus chords i~i+c mod 126, c entry i mod 18 of the LCF code "
+        "[17,27,-13,-59,-35,35,-11,13,-53,53,-27,21,57,11,-21,-57,59,-17]",
+    ),
 }
 
 
@@ -146,7 +151,7 @@ def cmd_construct(args) -> int:
 def cmd_analyze(args) -> int:
     g = families.read_edge_list(args.graph)
     verdict, labeling = settle(g, args.budget)
-    if labeling is TIMEOUT:  # a search ran out of budget; the verdict stands
+    if not isinstance(labeling, RadioLabeling):  # none found; the verdict stands
         labeling = None
     payload = verdict.to_json_dict()
     payload.update({"n": g.n, "diameter": diameter(g)})
@@ -195,7 +200,6 @@ def _transport_labels(target: Graph, g: Graph, labeling: RadioLabeling, budget):
 def cmd_label(args) -> int:
     g = families.read_edge_list(args.graph)
     method = args.method
-    labeling = None
     if method == "auto":
         verdict, labeling = settle(g, args.budget)
         if labeling is None:
@@ -215,10 +219,6 @@ def cmd_label(args) -> int:
     elif method in ("quad-glue", "hex-glue"):
         label = label_quadrangle_cage if method == "quad-glue" else label_hexagon_cage
         labeling = label(g, args.budget)
-        if labeling is None:
-            print("no span-(n+1) labeling of the two antipodal components",
-                  file=sys.stderr)
-            return EXIT_NEGATIVE
     elif method in ("singer", "singer-complement"):
         q = _infer_singer_q(g.n)
         if method == "singer":
@@ -235,7 +235,9 @@ def cmd_label(args) -> int:
     if labeling is TIMEOUT:
         print("search budget exhausted", file=sys.stderr)
         return EXIT_TIMEOUT
-    assert isinstance(labeling, RadioLabeling)
+    if not isinstance(labeling, RadioLabeling):  # a span-(n+1) search was exhausted
+        print("no span-(n+1) labeling of the two antipodal components", file=sys.stderr)
+        return EXIT_NEGATIVE
     bad = verify(g, labeling)
     if bad:
         print(f"constructed labeling failed verification ({len(bad)} violations)",

@@ -8,7 +8,6 @@ that :func:`~radiolab.graphcore.bipartition` colours 0 is the points.
 
 from __future__ import annotations
 
-from importlib import resources
 from itertools import product
 from typing import Callable, Iterable
 
@@ -324,31 +323,46 @@ def write_edge_list(g: Graph, header: Iterable[str] = ()) -> str:
 
 
 # ---------------------------------------------------------------------------
-# bundled cage data
-
-BUILTIN_GRAPHS = ("cage-3-8", "cage-4-8", "cage-3-12")
-BUILTIN_SEQUENCES = (
-    "cage-3-8-points",
-    "cage-3-8-lines",
-    "cage-4-8-points",
-    "cage-4-8-lines",
-)
+# the cages of the paper
 
 
-def _data_text(name: str) -> str:
-    return resources.files("radiolab.data").joinpath(name).read_text(encoding="ascii")
+def _tutte_12_cage() -> Graph:
+    """Tutte's 12-cage (incidence graph of the generalized hexagon of order
+    2): cycle 0..125 plus the LCF chords of R. Frucht, J. Graph Theory 1 (1977)."""
+    lcf = (17, 27, -13, -59, -35, 35, -11, 13, -53, 53, -27, 21, 57, 11, -21, -57, 59, -17)
+    return Graph(126, [(i, (i + d) % 126) for i in range(126) for d in (1, lcf[i % 18])])
+
+
+_CAGES = {
+    "cage-3-8": lambda: generalized_quadrangle_incidence(2),
+    "cage-4-8": lambda: generalized_quadrangle_incidence(3),
+    "cage-3-12": _tutte_12_cage,
+}
+_SEQUENCES = {
+    "cage-3-8-points": (0, 1, 2, 4, 5, 6, 7, 14, 13, 12, 3, 8, 11, 9, 10, 0),
+    "cage-3-8-lines": (15, 19, 23, 25, 16, 18, 29, 22, 20, 26, 21, 17, 24, 28, 27, 15),
+    "cage-4-8-points": (0, 1, 2, 3, 5, 7, 8, 6, 9, 10, 12, 11, 13, 22,
+                        4, 14, 16, 17, 15, 18, 19, 21, 20, 24, 26, 25, 23, 27,
+                        28, 31, 29, 30, 33, 34, 35, 32, 36, 37, 39, 38, 0),
+    "cage-4-8-lines": (40, 45, 50, 43, 44, 49, 42, 47, 48, 41, 46, 51, 52, 57,
+                       59, 55, 56, 61, 64, 54, 58, 60, 53, 62, 67, 69, 72, 65,
+                       63, 70, 71, 79, 75, 66, 77, 76, 68, 78, 73, 74, 40),
+}
+BUILTIN_GRAPHS = tuple(_CAGES)
+BUILTIN_SEQUENCES = tuple(_SEQUENCES)
 
 
 def builtin_graph(name: str) -> Graph:
-    """One of the bundled cage edge lists (``cage-3-8``, ``cage-4-8``,
-    ``cage-3-12``)."""
+    """One of the paper's cages: ``cage-3-8`` and ``cage-4-8`` are the
+    incidence graphs of W(2) and W(3), ``cage-3-12`` is Tutte's 12-cage."""
     if name not in BUILTIN_GRAPHS:
         raise BadParams(f"unknown builtin graph {name!r}; have {BUILTIN_GRAPHS}")
-    return load_edge_list(_data_text(name.replace("-", "_") + ".el"))
+    return _CAGES[name]()
 
 
 def builtin_sequence(name: str) -> list[int]:
-    """One of the bundled benchmark vertex sequences for the girth-8 cages."""
+    """One of the benchmark squares of Hamiltonian cycles of the girth-8 cages'
+    antipodal components, closed: the last vertex repeats the first."""
     if name not in BUILTIN_SEQUENCES:
         raise BadParams(f"unknown builtin sequence {name!r}; have {BUILTIN_SEQUENCES}")
-    return [int(tok) for tok in _data_text(name.replace("-", "_") + ".txt").split()]
+    return list(_SEQUENCES[name])

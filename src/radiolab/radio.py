@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .budget import TIMEOUT, BudgetExhausted, SearchBudget, as_budget
+from .budget import TIMEOUT, SearchBudget, as_budget
 from .errors import (
     BadCertificate,
     BadPermutation,
@@ -114,7 +114,8 @@ class Obstruction:
     antipodal graph found none (valid for diameter 2 and bipartite
     diameter 3, where traceability of the antipodal graph is equivalent
     to gracefulness) and the nodes that search spent, not those a shared
-    budget spent before it.
+    budget spent before it.  ``no-span-n+1-labeling`` (from :func:`settle`
+    only) records the same for its exhausted two-component search: rn >= n+2.
     """
 
     kind: str
@@ -408,7 +409,7 @@ _AUTOMORPHISMS = 1 << 8
 _PATH_BLOCK_ENTRIES = 1 << 18
 
 
-def _automorphisms(need: list[list[int]], budget: SearchBudget) -> list[tuple[int, ...]]:
+def _automorphisms(need: list[list[int]], budget: SearchBudget):
     """Permutations s other than the identity with need[s[u]][s[v]] =
     need[u][v] for all u, v, in lexicographic order, at most
     ``_AUTOMORPHISMS`` of them (the identity counted).
@@ -418,8 +419,8 @@ def _automorphisms(need: list[list[int]], budget: SearchBudget) -> list[tuple[in
     w keeps, for each later x, only the images z with need[z][w] =
     need[x][u], so every image tried agrees with every earlier one, and a
     later vertex left without images ends the branch.  One budget node
-    per image tried.  Returns [] at once when no two rows sort alike.
-    Raises BudgetExhausted.
+    per image tried.  Returns [] at once when no two rows sort alike, and
+    TIMEOUT when the budget runs out.
     """
     n = len(need)
     shape = [tuple(sorted(row)) for row in need]
@@ -435,7 +436,7 @@ def _automorphisms(need: list[list[int]], budget: SearchBudget) -> list[tuple[in
     found: list[tuple[int, ...]] = []
 
     def extend(u: int, cand: list[int]) -> bool:
-        # cand[x]: the images x may still take; False once the cap is reached
+        # cand[x]: the images x may still take; False at the cap or budget
         if u == n:
             found.append(tuple(image))
             return len(found) < _AUTOMORPHISMS
@@ -444,7 +445,7 @@ def _automorphisms(need: list[list[int]], budget: SearchBudget) -> list[tuple[in
             b = c & -c
             c ^= b
             if not budget.charge():
-                raise BudgetExhausted
+                return False
             w = image[u] = b.bit_length() - 1
             eq = equal[w]
             nxt = cand[:]
@@ -458,7 +459,7 @@ def _automorphisms(need: list[list[int]], budget: SearchBudget) -> list[tuple[in
         return True
 
     extend(0, [sum(1 << w for w in range(n) if shape[w] == shape[u]) for u in range(n)])
-    return found[1:]  # the first permutation found is the identity
+    return TIMEOUT if budget.remaining < 0 else found[1:]  # found[0] is the identity
 
 
 def _path_table(need: np.ndarray) -> np.ndarray:
@@ -610,7 +611,7 @@ def radio_number_exact(
         # fixing every placed vertex (None at the root until computed)
         nonlocal best_span, best_labels
         if not budget.charge():
-            raise BudgetExhausted
+            return TIMEOUT
         if not rest:
             if last_label < best_span:
                 best_span, best_labels = last_label, labels[:]
@@ -625,6 +626,8 @@ def radio_number_exact(
                 continue
             if syms is None:  # only the root gets here without them
                 syms = _automorphisms(need, budget)
+                if syms is TIMEOUT:
+                    return TIMEOUT
             if syms and any(s[v] < v for s in syms):
                 continue
             left = rest ^ bit
@@ -643,13 +646,12 @@ def radio_number_exact(
             if seen is not None and f + seen >= best_span:
                 continue
             labels[v] = f
-            dfs(f, left, child, [s for s in syms if s[v] == v] if syms else syms)
+            if dfs(f, left, child, [s for s in syms if s[v] == v] if syms else syms) is TIMEOUT:
+                return TIMEOUT
             if seen is not None or len(memo) < _MEMO_ENTRIES:
                 memo[key] = best_span - f
 
-    try:
-        dfs(0, (1 << n) - 1, [1] * n, None)
-    except BudgetExhausted:
+    if dfs(0, (1 << n) - 1, [1] * n, None) is TIMEOUT:
         return TIMEOUT
     return best_span, RadioLabeling(tuple(best_labels))
 
@@ -730,11 +732,13 @@ def settle(g: Graph, deadline: int | SearchBudget | None = None):
     two antipodal components gets :func:`_label_two_components`' labeling
     as its upper bound.  The labeling is a RadioLabeling, TIMEOUT (the
     oracle or the search ran out of the one node budget that all three
-    share and returned it; the verdict is analyze's) or None.  A component
-    that is bipartite in the antipodal graph, with sides more than 1 apart
-    in size, ends the search at once (the join of K5 + K7 with 3
-    independent vertices, whose components are K_{5,7} and K_3, spends
-    no node); other negatives are proved by exhausting it.
+    share and returned it; the verdict is analyze's), a
+    ``no-span-n+1-labeling`` Obstruction when that search was exhausted,
+    or None when none ran.  A component that is bipartite in the antipodal
+    graph, with sides more than 1 apart in size, ends the search at once
+    (the join of K5 + K7 with 3 independent vertices, whose components
+    are K_{5,7} and K_3, spends no node); other negatives are proved by
+    exhausting it.
     """
     budget = as_budget(deadline)
     verdict = analyze(g, budget)
@@ -752,7 +756,10 @@ def settle(g: Graph, deadline: int | SearchBudget | None = None):
     comps = getattr(verdict.certificate, "antipodal_components", None)
     if comps is None or len(comps) != 2:
         return verdict, None
+    spent = budget.spent
     labeling = _label_two_components(g, comps, budget)
+    if labeling is None:
+        return verdict, Obstruction("no-span-n+1-labeling", comps, budget.spent - spent)
     if isinstance(labeling, RadioLabeling):
         verdict = replace(verdict, rn_upper=labeling.span)
     return verdict, labeling

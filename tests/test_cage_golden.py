@@ -4,7 +4,7 @@
 ordering their window search finds, and its candidate order (fewest
 onward candidates first, ties by index) decides which.  Node counts alone
 do not pin that order, so this file stores a sha256 of each labeling's
-labels, for W(q) at q = 2, 3, 4, 5, 7, 8 and the bundled cage-4-8 (the
+labels, for W(q) at q = 2, 3, 4, 5, 7, 8 and the builtin cage-4-8 (the
 quadrangle search) and cage-3-12 (the hexagon search).  W(7) and W(8)
 have 400 and 585 vertices per side, enough for the search to score the
 first positions' candidates in one numpy batch.

@@ -232,6 +232,16 @@ def test_label_quad_glue_exhausted_search_is_a_proven_negative(tmp_path, capsys)
     assert err == "no span-(n+1) labeling of the two antipodal components\n"
 
 
+def test_label_auto_reports_the_exhausted_two_component_search(tmp_path, capsys):
+    # settle runs the same search and returns its exhaustion, so label
+    # says what quad-glue says rather than that no method applies
+    graph_file = tmp_path / "g.el"
+    graph_file.write_text("".join(f"{u} {v}\n" for u, v in NO_SPAN_N1_EDGES))
+    code, out, err = run(capsys, "label", str(graph_file))
+    assert (code, out) == (1, "")
+    assert err == "no span-(n+1) labeling of the two antipodal components\n"
+
+
 def test_budget_env_var_and_flag_precedence(tmp_path, capsys, monkeypatch):
     graph_file = str(tmp_path / "cage312.el")
     run(capsys, "construct", "cage-3-12", "-o", graph_file)

@@ -3,7 +3,8 @@
 Labelings and stored benchmark sequences refer to vertices by index, so a
 change to the field arithmetic or to a constructor must not renumber any
 graph.  For each constructor and order this stores a sha256 of the
-graph's edge list, for each small field its reducing polynomial,
+graph's edge list (the paper's three cages, built by name, included),
+for each small field its reducing polynomial,
 primitive element and canonical Singer difference set, and for each
 small order a sha256 of the labels of the Singer recurrence labelings
 of the Singer graph and of its complement.
@@ -45,11 +46,17 @@ LABELERS = {
 GRAPH_KEYS = [f"{name}-{q}" for name, (_, orders) in BUILDERS.items() for q in orders]
 FIELD_KEYS = [f"field-{q}" for q in PRIME_POWERS_16]
 LABEL_KEYS = [f"{name}-{q}" for name in LABELERS for q in PRIME_POWERS_16]
-KEYS = GRAPH_KEYS + FIELD_KEYS + LABEL_KEYS
+KEYS = GRAPH_KEYS + FIELD_KEYS + LABEL_KEYS + list(rl.BUILTIN_GRAPHS)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def record(key: str):
     """The stored value for one key, computed from the library."""
+    if key in rl.BUILTIN_GRAPHS:
+        return _sha256(rl.write_edge_list(rl.builtin_graph(key)))
     name, q = key.rsplit("-", 1)
     q = int(q)
     if name == "field":
@@ -61,9 +68,9 @@ def record(key: str):
         }
     if name in LABELERS:
         labels = LABELERS[name](q).labels
-        return hashlib.sha256(json.dumps(list(labels)).encode("ascii")).hexdigest()
+        return _sha256(json.dumps(list(labels)))
     g = BUILDERS[name][0](q)
-    return hashlib.sha256(rl.write_edge_list(g).encode("ascii")).hexdigest()
+    return _sha256(rl.write_edge_list(g))
 
 
 @pytest.fixture(scope="module")

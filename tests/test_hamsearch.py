@@ -20,7 +20,6 @@ from radiolab import (
     verify_certificate,
 )
 
-from radiolab.budget import BudgetExhausted
 from radiolab.graphcore import _bit_rows
 from radiolab.hamsearch import (
     _bits,
@@ -244,7 +243,7 @@ def _window_ordering_full_bfs(rows, constraints, allowed, budget):
                 free |= 1 << order.pop()
             continue
         if not budget.charge():
-            raise BudgetExhausted
+            return TIMEOUT
         order.append(c)
         free &= ~(1 << c)
         if len(order) == size:
@@ -270,10 +269,7 @@ def _window_run(search, g, power, nodes, loops=False):
                        + [(j, 0) for j in range(min(k + power - n + 1, k - power))]
                        for k in range(n)]
     budget = rl.SearchBudget(nodes)
-    try:
-        order = search([adjacency], constraints, [(1 << n) - 1] * n, budget)
-    except BudgetExhausted:
-        order = TIMEOUT
+    order = search([adjacency], constraints, [(1 << n) - 1] * n, budget)
     return order, budget.spent
 
 
@@ -354,10 +350,7 @@ def _traced_run(search, instance, nodes):
     """The result, nodes spent and per-charge depths of one search;
     TIMEOUT past ``nodes``."""
     budget = _DepthTrace(nodes)
-    try:
-        order = search(*instance, budget)
-    except BudgetExhausted:
-        order = TIMEOUT
+    order = search(*instance, budget)
     return order, budget.spent, budget.depths
 
 

@@ -38,7 +38,6 @@ from radiolab import (
     singer_label_erq_complement,
     verify,
 )
-from radiolab.budget import BudgetExhausted
 from radiolab.radio import _label_two_components, _path_table
 
 from conftest import (
@@ -301,10 +300,12 @@ def test_exhausted_two_component_search_is_a_proven_negative():
     budget = SearchBudget(10**6)
     assert label_quadrangle_cage(g, budget) is None
     assert budget.spent == 0
-    # settle runs the same search above the oracle's limit and leaves rn open
+    # settle runs the same search above the oracle's limit, leaves rn open
+    # and returns the exhausted search as an obstruction
     budget = SearchBudget(10**6)
     v, lab = rl.settle(g, budget)
-    assert (v.status, lab, v.rn_lower, v.rn_upper) == (NOT_RADIO_GRACEFUL, None, 15, None)
+    assert (v.status, v.rn_lower, v.rn_upper) == (NOT_RADIO_GRACEFUL, 15, None)
+    assert lab == Obstruction("no-span-n+1-labeling", tuple(map(tuple, comps)), 0)
     assert budget.spent == 0
     rn, witness = radio_number_exact(g, vertex_limit=14)
     assert rn == witness.span == 22 and verify(g, witness) == []
@@ -323,7 +324,8 @@ def test_two_component_search_cut_by_unbalanced_bipartite_component():
     assert budget.spent == 0
     budget = SearchBudget(10**6)
     v, lab = rl.settle(g, budget)
-    assert (v.status, lab, v.rn_lower, v.rn_upper) == (NOT_RADIO_GRACEFUL, None, 16, None)
+    assert (v.status, v.rn_lower, v.rn_upper) == (NOT_RADIO_GRACEFUL, 16, None)
+    assert lab == Obstruction("no-span-n+1-labeling", tuple(map(tuple, comps)), 0)
     assert budget.spent == 0
 
 
@@ -701,11 +703,10 @@ def test_radio_number_budget_runs_out_in_the_automorphism_search(monkeypatch):
     automorphisms, ran_out = rl.radio._automorphisms, []
 
     def spy(need, budget):
-        try:
-            return automorphisms(need, budget)
-        except BudgetExhausted:
+        syms = automorphisms(need, budget)
+        if syms is TIMEOUT:
             ran_out.append(budget.spent)
-            raise
+        return syms
 
     monkeypatch.setattr(rl.radio, "_automorphisms", spy)
     for nodes in range(1, 240):
@@ -1011,9 +1012,10 @@ def test_settle_two_component_search_is_complete(atlas7, monkeypatch):
         checked += 1
         _, lab = rl.settle(g)
         rn, _ = radio_number_exact(g)
-        assert (lab is not None) == (rn == g.n + 1)
-        if lab is not None:
+        if rn == g.n + 1:
             assert lab.span == g.n + 1 and verify(g, lab) == []
+        else:
+            assert lab == Obstruction("no-span-n+1-labeling", comps, lab.nodes_searched)
     assert checked == 188
 
 
