@@ -49,7 +49,8 @@ per case the vertex count, the seconds of each step, the search nodes
 spent and a sha256 of the labeling's labels (of the matrix's bytes for
 the distance cases).  These must not change from one version of the
 library to the next: ``PINNED`` holds them for the distance cases,
-``k500-700`` and ``w13``, and the script exits with status 1, after the
+``k500-700``, ``w13``, ``c13``, ``tadpole66``, ``table16`` and
+``table20``, and the script exits with status 1, after the
 JSON line, when a case it ran reports another value.  It imports the
 library from the ``src`` directory next to this script.  Run it from
 anywhere, on every case or on the cases named:
@@ -107,6 +108,16 @@ PINNED = {
     "w13": {
         "nodes": 4760,
         "labels_sha256": "0924c9b89fb83d59b641f5a03745b0cf129057a60d949af0cd14c6de78e3de35"},
+    "c13": {
+        "rn": 25, "nodes": 5131,
+        "labels_sha256": "27041f8f33ba7c97fbf8f259423b7bcb78c9e80e8a15b3ea7054e759eb00c2d3"},
+    "tadpole66": {
+        "rn": 54, "nodes": 3180,
+        "labels_sha256": "6615667811d318473cd2ef99566f9ca814e0ac5318e9acc31366e09622489ca7"},
+    "table16": {
+        "table_sha256": "fdf2524e6f1edd6f2fa9cc2686fe539bf864a6910013ad90c13aca1cef842d03"},
+    "table20": {
+        "table_sha256": "6bcadc28a83485ec22565db37d3e9c2e33039526094fe0435b3f15e9ab66b43e"},
 }
 
 

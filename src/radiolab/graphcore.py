@@ -620,16 +620,29 @@ def bipartition(g: Graph) -> Optional[tuple[int, ...]]:
 
 def _odd_levels(rows: Sequence[int], start: int) -> Optional[tuple[int, int]]:
     """The component of ``start`` and its vertices at odd breadth-first
-    level from ``start`` (:func:`_reach`), as bitsets over ``rows``; None
-    when an edge joins two vertices of one parity.  Every edge joins one
-    level or two consecutive ones, so such an edge joins two vertices of
-    one level: the component has an odd cycle, and otherwise the parity
-    is a proper two-colouring."""
-    seen, odd = _reach(rows, 1 << start)
-    even = seen ^ odd
-    if any(rows[v] & odd for v in _bits(odd)) or any(rows[v] & even for v in _bits(even)):
-        return None
-    return seen, odd
+    level from ``start``, as bitsets over ``rows``: one level per step,
+    as in :func:`_reach`; None at the first level with an edge inside it.
+    Every edge joins one level or two consecutive ones, so such an edge
+    closes an odd cycle, and without one the parity of the level is a
+    proper two-colouring of the component."""
+    reached = frontier = 1 << start
+    odd = 0
+    at_odd = False
+    while frontier:
+        if frontier & (frontier - 1):
+            step = 0
+            for v in _bits(frontier):
+                step |= rows[v]
+        else:
+            step = rows[frontier.bit_length() - 1]
+        if step & frontier:
+            return None
+        frontier = step & ~reached
+        reached |= frontier
+        at_odd = not at_odd
+        if at_odd:
+            odd |= frontier
+    return reached, odd
 
 
 def regularity(g: Graph) -> Optional[int]:

@@ -44,6 +44,7 @@ from .field import DifferenceSet, singer_difference_set
 from .graphcore import (
     Graph,
     _bit_rows,
+    _bits,
     _odd_levels,
     all_pairs_distances,
     antipodal,
@@ -462,6 +463,50 @@ def _automorphisms(need: list[list[int]], budget: SearchBudget):
     return TIMEOUT if budget.remaining < 0 else found[1:]  # found[0] is the identity
 
 
+def _path_blocks(n: int, block: int):
+    """The blocks in which :func:`_path_table` fills an n-vertex table, in
+    order: the sets T of popcount layer k - 1 for k = 1..n-1, ``block``
+    sets at a time, each block as (sets, dest, inset).  ``dest[v]`` is
+    the flat index of H[v, T | 1 << v] in the (n, 2^n) buffer, and
+    ``inset[v]`` whether v is in T."""
+    size = np.bitwise_count(np.arange(1 << n))
+    order = np.argsort(size, kind="stable")  # the sets, layer by layer
+    ends = np.cumsum(np.bincount(size, minlength=n + 1))
+    verts = np.arange(n)
+    bits = (1 << verts)[:, None]
+    lead = verts[:, None] << n | bits  # H[v, T | 1 << v] is flat[lead | T]
+    for k in range(1, n):
+        layer = order[ends[k - 1]:ends[k]]
+        for first in range(0, len(layer), block):
+            sets = layer[first:first + block]
+            yield sets, lead | sets, (sets & bits).astype(bool)
+
+
+# path-table plans by (vertex count, block size), for n <= ORACLE_VERTEX_LIMIT
+_PATH_PLANS: dict[tuple[int, int], tuple[np.ndarray, list]] = {}
+
+
+def _path_plan(n: int, block: int):
+    """A fresh (n, 2^n) table holding 0 at H[v, {v}] and ``_UNSET``
+    elsewhere, and the :func:`_path_blocks` that fill it.  Up to
+    ``ORACLE_VERTEX_LIMIT`` vertices both are kept per (n, block), about
+    1 MB for n = 7..12 together, and the table is handed out as a copy.
+    Above it the blocks are made one at a time as the fill reads them and
+    nothing is kept: each vertex doubles a plan, and a 20-vertex one
+    would hold some 200 MB of blocks next to its 42 MB table."""
+    plan = _PATH_PLANS.get((n, block))
+    if plan is None:
+        verts = np.arange(n)
+        table = np.full((n, 1 << n), _UNSET, dtype=np.int16)
+        table[verts, 1 << verts] = 0
+        blocks = _path_blocks(n, block)
+        if n > ORACLE_VERTEX_LIMIT:
+            return table, blocks
+        table.flags.writeable = False
+        plan = _PATH_PLANS[n, block] = table, list(blocks)
+    return plan[0].copy(), plan[1]
+
+
 def _path_table(need: np.ndarray) -> np.ndarray:
     """Held-Karp table for a symmetric ``need``: H[S, v] is the least total
     need over the steps of a path that covers exactly the vertex bitmask S
@@ -473,8 +518,11 @@ def _path_table(need: np.ndarray) -> np.ndarray:
     H[u, T] + need[u, v] goes to H[v, T | 1 << v] for v not in T, and
     H[v, T] goes back unchanged for v in T, so one scatter writes the
     whole block.  The sets of a layer go in blocks whose n x n x block
-    sum holds at most ``_PATH_BLOCK_ENTRIES`` entries.  Raises TooLarge
-    above PATH_TABLE_VERTEX_LIMIT vertices, before allocating.
+    sum holds at most ``_PATH_BLOCK_ENTRIES`` entries.  The layout of the
+    blocks depends only on n and the block size: :func:`_path_plan` keeps
+    it for the vertex counts the oracle takes by default and streams it
+    above them.  Raises TooLarge above PATH_TABLE_VERTEX_LIMIT vertices,
+    before allocating.
     """
     n = len(need)
     if n > PATH_TABLE_VERTEX_LIMIT:
@@ -482,24 +530,13 @@ def _path_table(need: np.ndarray) -> np.ndarray:
             f"the path-bound table of {n} vertices exceeds the limit of "
             f"{PATH_TABLE_VERTEX_LIMIT}"
         )
-    size = np.bitwise_count(np.arange(1 << n))
-    order = np.argsort(size, kind="stable")  # the sets, layer by layer
-    ends = np.cumsum(np.bincount(size, minlength=n + 1))
-    verts = np.arange(n)
-    bits = (1 << verts)[:, None]
-    lead = verts[:, None] << n | bits  # H[v, T | 1 << v] is flat[lead | T]
-    table = np.full((n, 1 << n), _UNSET, dtype=np.int16)
-    table[verts, bits[:, 0]] = 0
+    table, blocks = _path_plan(n, max(1, _PATH_BLOCK_ENTRIES // n ** 2))
     flat = table.reshape(-1)
     need = need.astype(np.int16)[:, :, None]
-    block = max(1, _PATH_BLOCK_ENTRIES // n ** 2)
-    for k in range(1, n):
-        layer = order[ends[k - 1]:ends[k]]
-        for first in range(0, len(layer), block):
-            sets = layer[first:first + block]
-            prev = table[:, sets]
-            ext = (prev[:, None, :] + need).min(axis=0)
-            flat[lead | sets] = np.where(sets & bits, prev, ext)
+    for sets, dest, inset in blocks:
+        prev = table[:, sets]
+        ext = (prev[:, None, :] + need).min(axis=0)
+        flat[dest] = np.where(inset, prev, ext)
     return table.T
 
 
@@ -525,13 +562,17 @@ def radio_number_exact(
     incumbent starts at n + 1, so only a graceful run finishes.
 
     Otherwise the path table of :func:`_path_table` is built once (it
-    raises TooLarge above its limit) and a depth-first search places the
-    vertices in increasing label order, in index order among siblings,
-    each at the smallest compatible label.  A child v placed at label f,
-    with R the unplaced vertices (v among them), ends at a span of at
-    least f + H[R, v]: the least total need along a path that covers
-    exactly R and ends at v, read at v << n | R from the table's flat
-    (n, 2^n) buffer.  The child is cut when that bound reaches the
+    raises TooLarge above its limit), from a block layout that is made
+    once per vertex count and kept up to ``ORACLE_VERTEX_LIMIT``, so
+    repeated calls on graphs of the default sizes only fill it.  A
+    depth-first search then places the vertices in increasing label
+    order, in index order among siblings, each at the smallest compatible
+    label; a search node lists its unplaced vertices once and walks that
+    list for its children and for each child's lower labels and memo key.
+    A child v placed at label f, with R the unplaced vertices (v among
+    them), ends at a span of at least f + H[R, v]: the least total need
+    along a path that covers exactly R and ends at v, read at v << n | R
+    from the table's flat (n, 2^n) buffer.  The child is cut when that bound reaches the
     incumbent.  Only a strictly smaller span replaces the incumbent, so
     the witness is the first optimum in search order whatever the bound
     cuts.
@@ -616,11 +657,8 @@ def radio_number_exact(
             if last_label < best_span:
                 best_span, best_labels = last_label, labels[:]
             return
-        r = rest
-        while r:
-            bit = r & -r
-            r ^= bit
-            v = bit.bit_length() - 1
+        members = _bits(rest)
+        for v in members:
             f = lower[v]
             if f + tab[v << n | rest] >= best_span:
                 continue
@@ -630,18 +668,16 @@ def radio_number_exact(
                     return TIMEOUT
             if syms and any(s[v] < v for s in syms):
                 continue
-            left = rest ^ bit
+            left = rest ^ 1 << v
             child = lower[:]
             row = need[v]
-            key = todo = left
-            while todo:
-                b = todo & -todo
-                todo ^= b
-                u = b.bit_length() - 1
-                nb = f + row[u]
-                if nb > child[u]:
-                    child[u] = nb
-                key |= (child[u] - f) << shift[u]
+            key = left
+            for u in members:
+                if u != v:
+                    nb = f + row[u]
+                    if nb > child[u]:
+                        child[u] = nb
+                    key |= (child[u] - f) << shift[u]
             seen = memo.get(key)
             if seen is not None and f + seen >= best_span:
                 continue

@@ -21,7 +21,7 @@ from radiolab import (
     moore_bound,
     regularity,
 )
-from radiolab.graphcore import _bits, _reach
+from radiolab.graphcore import _bits, _odd_levels, _reach
 
 from conftest import (
     atlas_connected,
@@ -682,6 +682,29 @@ def test_bipartition_matches_networkx_level_parity():
                 expected[v] = level % 2
         assert colour == tuple(expected)
     assert seen == {True, False}
+
+
+def test_odd_levels_stops_at_the_first_level_with_an_inner_edge():
+    # a triangle 0-1-2 with a 60-vertex path hung from 2: level 1 is {1, 2}
+    class Rows(list):
+        def __getitem__(self, v):
+            read.append(v)
+            return super().__getitem__(v)
+
+    g = Graph(63, [(0, 1), (0, 2), (1, 2)] + [(v, v + 1) for v in range(2, 62)])
+    read = []
+    assert _odd_levels(Rows(g._rows), 0) is None
+    assert sorted(read) == [0, 1, 2]
+    # from the path's far end the inner edge 0-1 is in the last level
+    read = []
+    assert _odd_levels(Rows(g._rows), 62) is None
+    assert sorted(read) == list(range(63))
+    # the path alone is bipartite: every vertex read once
+    path = rl.path(63)
+    read = []
+    reached, odd = _odd_levels(Rows(path._rows), 0)
+    assert sorted(read) == list(range(63))
+    assert reached == (1 << 63) - 1 and odd == sum(1 << v for v in range(1, 63, 2))
 
 
 def bipartite_regular_corpus():

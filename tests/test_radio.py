@@ -798,9 +798,29 @@ def held_karp_cases():
     return [(need, held_karp(need)) for need in cases]
 
 
+def _spy_path_blocks(monkeypatch):
+    """Fresh plans for the test, and the number of sets in each block the
+    fills read, kept plans and streamed ones alike."""
+    plan, sizes = rl.radio._path_plan, []
+
+    def spy(n, block):
+        table, blocks = plan(n, block)
+
+        def read():
+            for part in blocks:
+                sizes.append(len(part[0]))
+                yield part
+        return table, read()
+
+    monkeypatch.setattr(rl.radio, "_PATH_PLANS", {})
+    monkeypatch.setattr(rl.radio, "_path_plan", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("block_entries", [None, 1], ids=["default-blocks", "one-set-blocks"])
 def test_path_table_matches_held_karp(monkeypatch, block_entries):
     # one-set blocks split every layer of more than one set across blocks
+    sizes = _spy_path_blocks(monkeypatch)
     if block_entries is not None:
         monkeypatch.setattr(rl.radio, "_PATH_BLOCK_ENTRIES", block_entries)
     for need, best in held_karp_cases():
@@ -809,6 +829,30 @@ def test_path_table_matches_held_karp(monkeypatch, block_entries):
         for mask in range(1 << n):
             for v in range(n):
                 assert table[mask][v] == best.get((mask, v), rl.radio._UNSET)
+    # plans are kept by block size too, so no default plan fills a table here
+    kept = {block for _, block in rl.radio._PATH_PLANS}
+    if block_entries is None:
+        assert max(sizes) > 1 and 1 not in kept
+    else:
+        assert set(sizes) == {1} and kept == {1}
+
+
+def test_path_plans_are_kept_only_up_to_the_oracle_limit(monkeypatch):
+    monkeypatch.setattr(rl.radio, "_PATH_PLANS", {})
+    for n in (13, 16):
+        _path_table(3 - all_pairs_distances(rl.complete_bipartite(n // 2, n - n // 2)))
+    assert rl.radio._PATH_PLANS == {}
+    # two needs of 12 vertices, filled from one kept plan, then streamed
+    needs = [rl.diameter(g) + 1 - all_pairs_distances(g) for g in (rl.path(12), rl.cycle(12))]
+    kept = [_path_table(need) for need in needs + needs[:1]]
+    assert len(rl.radio._PATH_PLANS) == 1
+    monkeypatch.setattr(rl.radio, "_PATH_PLANS", {})
+    monkeypatch.setattr(rl.radio, "ORACLE_VERTEX_LIMIT", 11)
+    streamed = [_path_table(need) for need in needs]
+    assert rl.radio._PATH_PLANS == {}
+    assert not np.array_equal(*streamed)
+    for table, other in zip(kept, streamed + streamed[:1]):
+        assert np.array_equal(table, other)
 
 
 def diameter_two_graphs():

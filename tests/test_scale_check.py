@@ -1,4 +1,5 @@
-"""``scripts/scale_check.py``: the distance cases and ``k500-700``, run
+"""``scripts/scale_check.py``: the distance cases, ``k500-700`` and the
+small oracle cases ``table16``, ``c13`` and ``tadpole66``, run
 in-process, report the values the script pins."""
 
 import importlib.util
@@ -12,7 +13,8 @@ scale_check = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(scale_check)
 
 
-@pytest.mark.parametrize("case", ["p600", "c1201", "lollipop", "grid40", "pg23", "k500-700"])
+@pytest.mark.parametrize("case", ["p600", "c1201", "lollipop", "grid40", "pg23", "k500-700",
+                                  "table16", "c13", "tadpole66"])
 def test_case_reports_its_pinned_values(case):
     result = scale_check.run_case(case)
     assert scale_check.PINNED[case]
@@ -22,4 +24,6 @@ def test_case_reports_its_pinned_values(case):
 def test_a_changed_value_is_a_mismatch():
     result = {"nodes": 1201, "labels_sha256": scale_check.PINNED["w13"]["labels_sha256"]}
     assert scale_check.mismatches("w13", result) == ["nodes"]
-    assert scale_check.mismatches("c13", {}) == []
+    # an unpinned case has nothing to mismatch
+    assert "c15" not in scale_check.PINNED
+    assert scale_check.mismatches("c15", {}) == []
